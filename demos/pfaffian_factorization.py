@@ -62,4 +62,4 @@ print()
 # On a numeric instance the same adjugate route gives the exact
 # rational inverse.
 inv = skew_inverse(s)
-print("numeric inverse check:", s.to_matrix() @ inv == Matrix.identity(4))
+print("numeric inverse check:", s.to_matrix() @ inv.to_matrix() == Matrix.identity(4))

@@ -14,7 +14,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from .bridge import StructureForm
-from .errors import DimensionMismatch
+from .errors import DimensionMismatch, PoleError
 from .forms import contract_bivector
 from .linalg import Matrix, rank_and_left_nullvector
 from .pairs import linear_skew, rhs_covector
@@ -31,21 +31,25 @@ def plucker_coords(pair, point=None) -> dict:
     """Pluecker coordinates of the line at u, keyed by increasing pairs.
 
     With point=None the coordinates are rational functions of the
-    fields; with a point they are evaluated to rationals.  Blocks:
-    p^{kl} = u^k V^l - u^l V^k for field indices, p^{k,N+1} = -V^k,
-    p^{k,N+2} = u^k, p^{N+1,N+2} = 1.
+    fields, built from the reduced flux; with a point they are rationals,
+    evaluated from the cleared flux, and the metric pfaffian must not
+    vanish there (PoleError).  Blocks: p^{kl} = u^k V^l - u^l V^k for
+    field indices, p^{k,N+1} = -V^k, p^{k,N+2} = u^k, p^{N+1,N+2} = 1.
     """
     N, nvars = pair.N, pair.nvars
-    flux = pair.flux
     if point is None:
         uu = [RatFunc.var(nvars, i) for i in range(1, N + 1)]
-        vv = list(flux)
+        vv = list(pair.flux)
         one = RatFunc.from_const(nvars, 1)
     else:
         if len(point) != nvars:
             raise DimensionMismatch("point length does not match the ring")
+        nums, pf = pair.flux_cleared()
+        d = pf.eval(point)
+        if not d:
+            raise PoleError("metric pfaffian vanishes at the point")
         uu = [Fraction(point[i]) if isinstance(point[i], int) else point[i] for i in range(N)]
-        vv = [v.eval(point) for v in flux]
+        vv = [n.eval(point) / d for n in nums]
         one = Fraction(1)
     out = {}
     for k in range(1, N + 1):
@@ -119,8 +123,7 @@ def _homogeneous_covector(pair, nvars: int) -> list:
         b = pair.wconst[j - 1]
         term = base[j - 1]
         if b:
-            bp = b if isinstance(b, Fraction) else b.num * (Fraction(1) / b.den.const_value())
-            term = term + h * bp
+            term = term + h * b
         out.append(term)
     return out
 

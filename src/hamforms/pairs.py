@@ -8,7 +8,12 @@ metric
 
 plus a skew matrix `wskew` and a covector `wconst` building the affine
 covector w_j = sum_l wskew_jl u^l + wconst_j.  The flux of the
-associated first-order system solves  metric . flux = w.  Pairs built
+associated first-order system solves  metric . flux = w.
+
+Every polynomial quantity of a pair is a `Poly`: the parameter entries
+of the data, the metric entries, and the cleared flux, numerators
+adj(metric) . w over the common denominator Pf(metric).  The flux is
+reduced to `RatFunc`s only in `HamPair.flux`, for display.  Pairs built
 this way satisfy the compatibility identities checked by
 `check_compat`; the check exists to demonstrate that and to expose
 failures for hand-edited fluxes.
@@ -22,7 +27,7 @@ from fractions import Fraction
 from .errors import DegenerateMetric, DimensionMismatch, OddDimension
 from .errors import NullSystemWarning
 from .forms import AltForm
-from .poly import Poly, RatFunc, divides
+from .poly import Poly, RatFunc
 from .sampling import Lcg, random_skew, random_three_form, random_vector, sample_point
 from .skew import SkewMatrix, pfaffian, pfaffian_adjugate
 
@@ -30,20 +35,22 @@ _DEFAULT_SEED = 715225741
 
 
 def _data_entry(c, nvars: int, nfields: int, what: str):
-    """Coerce a defining coefficient: a rational constant, or a
-    polynomial in the ring's parameter variables (never the fields)."""
+    """Coerce a defining coefficient to a Fraction, or to a Poly in the
+    ring's parameter variables (never the fields).  A polynomial RatFunc
+    is accepted here, at the input edge, and nowhere further in."""
     if isinstance(c, int):
         return Fraction(c)
     if isinstance(c, Fraction):
         return c
-    if isinstance(c, Poly):
-        c = RatFunc.from_poly(c)
     if isinstance(c, RatFunc):
-        if c.num_vars != nvars:
-            raise ValueError("%s entry lives in a different ring" % what)
         if not c.is_polynomial():
             raise ValueError("%s entries must be polynomial" % what)
-        if any(c.num.uses_var(i) for i in range(1, nfields + 1)):
+        # the stored form of a polynomial RatFunc has denominator 1
+        c = c.num
+    if isinstance(c, Poly):
+        if c.num_vars != nvars:
+            raise ValueError("%s entry lives in a different ring" % what)
+        if any(c.uses_var(i) for i in range(1, nfields + 1)):
             raise ValueError("%s entries must not involve the fields" % what)
         if c.is_constant():
             return c.const_value()
@@ -51,17 +58,11 @@ def _data_entry(c, nvars: int, nfields: int, what: str):
     raise TypeError("%s must have rational or parameter entries" % what)
 
 
-def _as_ring_poly(c, nvars: int) -> Poly:
-    if isinstance(c, Fraction):
-        return Poly.const(nvars, c)
-    return c.num * (Fraction(1) / c.den.const_value())
-
-
 def _linear_comb(parts, const, nvars: int) -> Poly:
     """sum of coeff * u_var plus a constant term, as one polynomial."""
-    acc = Poly.const(nvars, const) if isinstance(const, Fraction) else _as_ring_poly(const, nvars)
+    acc = Poly.zero(nvars) + const
     for v, c in parts:
-        acc = acc + _as_ring_poly(c, nvars) * Poly.var(nvars, v)
+        acc = acc + Poly.var(nvars, v) * c
     return acc
 
 
@@ -87,28 +88,21 @@ def linear_skew(phi: AltForm, nvars: int | None = None) -> SkewMatrix:
     return SkewMatrix(n, upper)
 
 
-def _metric_polys(mcubic: AltForm, mconst: SkewMatrix, nvars: int) -> SkewMatrix:
+def build_metric(mcubic: AltForm, mconst: SkewMatrix, nvars: int | None = None) -> SkewMatrix:
+    """The affine metric of a pair, entries Poly."""
     if mcubic.dim != mconst.n:
         raise DimensionMismatch("three-form and constant part differ in size")
-    lin = linear_skew(mcubic, nvars)
-    upper = dict(lin.upper)
-    for (i, j), c in mconst.upper.items():
-        c = _data_entry(c, nvars, mconst.n, "constant metric part")
-        p = _as_ring_poly(c, nvars)
-        prev = upper.get((i, j))
-        s = p if prev is None else prev + p
-        if s:
-            upper[(i, j)] = s
-        else:
-            upper.pop((i, j), None)
-    return SkewMatrix(mconst.n, upper)
-
-
-def build_metric(mcubic: AltForm, mconst: SkewMatrix, nvars: int | None = None) -> SkewMatrix:
-    """The affine metric of a pair, entries RatFunc."""
     if nvars is None:
         nvars = mconst.n
-    return _metric_polys(mcubic, mconst, nvars).map_entries(RatFunc.from_poly)
+    upper = dict(linear_skew(mcubic, nvars).upper)
+    for key, c in mconst.upper.items():
+        c = _data_entry(c, nvars, mconst.n, "constant metric part")
+        s = upper.get(key, Poly.zero(nvars)) + c
+        if s:
+            upper[key] = s
+        else:
+            upper.pop(key, None)
+    return SkewMatrix(mconst.n, upper)
 
 
 def rhs_covector(wskew: SkewMatrix, wconst, nvars: int | None = None) -> tuple:
@@ -130,38 +124,9 @@ def rhs_covector(wskew: SkewMatrix, wconst, nvars: int | None = None) -> tuple:
     return tuple(out)
 
 
-def build_flux(metric: SkewMatrix, wskew: SkewMatrix, wconst, nvars: int | None = None) -> tuple:
-    """Solve metric . flux = w; entries are reduced rational functions."""
-    gp = _poly_entries(metric)
-    if nvars is None:
-        nvars = _entry_ring(gp)
-    pf = pfaffian(gp)
-    if not pf:
-        raise DegenerateMetric("metric pfaffian vanishes identically")
-    adj = pfaffian_adjugate(gp)
-    w = rhs_covector(wskew, wconst, nvars)
-    return tuple(
-        RatFunc(_row_dot(adj, i, w, nvars), pf) for i in range(1, metric.n + 1)
-    )
-
-
-def _poly_entries(metric: SkewMatrix) -> SkewMatrix:
-    def conv(v):
-        if isinstance(v, Poly):
-            return v
-        if isinstance(v, RatFunc):
-            if not v.is_polynomial():
-                raise ValueError("metric entries must be polynomial")
-            return v.num * (Fraction(1) / v.den.const_value())
-        raise TypeError("unsupported metric entry type %r" % type(v))
-
-    return metric.map_entries(conv)
-
-
-def _entry_ring(metric: SkewMatrix) -> int:
-    for v in metric.upper.values():
-        return v.num_vars
-    raise DegenerateMetric("metric is identically zero")
+def build_flux(nums, pf: Poly) -> tuple:
+    """Reduce the cleared flux nums / pf to one RatFunc per component."""
+    return tuple(RatFunc(n, pf) for n in nums)
 
 
 def _row_dot(s: SkewMatrix, i: int, vec, nvars: int) -> Poly:
@@ -173,16 +138,28 @@ def _row_dot(s: SkewMatrix, i: int, vec, nvars: int) -> Poly:
     return total
 
 
+def _data_blocks(mcubic: AltForm, mconst: SkewMatrix, nvars: int) -> tuple:
+    """The two metric blocks with every entry coerced by _data_entry."""
+    n = mconst.n
+    return (mcubic.map_coeffs(lambda c: _data_entry(c, nvars, n, "three-form")),
+            mconst.map_entries(lambda c: _data_entry(c, nvars, n, "constant metric part")))
+
+
 class HamPair:
     """Compatible metric-flux pair in N field variables.
 
     Variables 1..N of the coefficient ring are the fields; nvars may
     exceed N when the pair lives in a ring with extra parameters.  The
-    defining data mcubic, mconst, wskew, wconst are constant; `metric`
-    and `flux` are derived from them.
+    defining data mcubic, mconst, wskew, wconst are constant, each entry
+    a Fraction or a Poly in the parameters.  `metric` is derived from
+    them with Poly entries.  The flux is held in cleared form, numerators
+    adj(metric) . w over Pf(metric), computed once on first use and
+    shared by `flux_cleared`, `pf` and `check_compat`; `flux` reduces it
+    to RatFuncs for display.
     """
 
-    __slots__ = ("N", "nvars", "mcubic", "mconst", "wskew", "wconst", "metric", "_flux")
+    __slots__ = ("N", "nvars", "mcubic", "mconst", "wskew", "wconst", "metric",
+                 "_pf", "_cleared", "_flux")
 
     def __init__(self, mcubic: AltForm, mconst: SkewMatrix, wskew: SkewMatrix, wconst, nvars=None):
         N = mconst.n
@@ -198,39 +175,41 @@ class HamPair:
             nvars = N
         if nvars < N:
             raise DimensionMismatch("ring has fewer variables than fields")
-        wconst = tuple(_data_entry(b, nvars, N, "constant covector part") for b in wconst)
         self.N = N
         self.nvars = nvars
-        self.mcubic = mcubic
-        self.mconst = mconst
-        self.wskew = wskew
-        self.wconst = wconst
-        self.metric = build_metric(mcubic, mconst, nvars)
-        if not pfaffian(_poly_entries(self.metric)):
+        self.mcubic, self.mconst = _data_blocks(mcubic, mconst, nvars)
+        self.wskew = wskew.map_entries(
+            lambda c: _data_entry(c, nvars, N, "skew covector part"))
+        self.wconst = tuple(_data_entry(b, nvars, N, "constant covector part") for b in wconst)
+        self.metric = build_metric(self.mcubic, self.mconst, nvars)
+        self._pf = pfaffian(self.metric)
+        if not self._pf:
             raise DegenerateMetric("metric pfaffian vanishes identically")
-        if wskew.is_zero() and not any(wconst):
+        if self.wskew.is_zero() and not any(self.wconst):
             warnings.warn(
                 "covector data vanishes: the system is trivial", NullSystemWarning
             )
+        self._cleared = None
         self._flux = None
 
     @property
     def flux(self) -> tuple:
+        """The flux as reduced RatFuncs: the display form."""
         if self._flux is None:
-            self._flux = build_flux(self.metric, self.wskew, self.wconst, self.nvars)
+            self._flux = build_flux(*self.flux_cleared())
         return self._flux
 
     def flux_cleared(self) -> tuple:
         """Flux numerators over the common pfaffian denominator, all Poly."""
-        gp = _poly_entries(self.metric)
-        pf = pfaffian(gp)
-        adj = pfaffian_adjugate(gp)
-        w = rhs_covector(self.wskew, self.wconst, self.nvars)
-        nums = tuple(_row_dot(adj, i, w, self.nvars) for i in range(1, self.N + 1))
-        return nums, pf
+        if self._cleared is None:
+            adj = pfaffian_adjugate(self.metric)
+            w = rhs_covector(self.wskew, self.wconst, self.nvars)
+            nums = tuple(_row_dot(adj, i, w, self.nvars) for i in range(1, self.N + 1))
+            self._cleared = nums, self._pf
+        return self._cleared
 
     def pf(self) -> Poly:
-        return pfaffian(_poly_entries(self.metric))
+        return self._pf
 
     def __eq__(self, other):
         if not isinstance(other, HamPair):
@@ -256,7 +235,7 @@ class HamPair:
         while True:
             mcubic = random_three_form(rng, N, max_num=3)
             mconst = random_skew(rng, N, max_num=3)
-            if not pfaffian(_metric_polys(mcubic, mconst, N)):
+            if not pfaffian(build_metric(mcubic, mconst, N)):
                 continue
             wskew = random_skew(rng, N, max_num=3)
             wconst = random_vector(rng, N, max_num=3)
@@ -273,7 +252,7 @@ class ForcedPair:
     of construction errors.
     """
 
-    __slots__ = ("N", "nvars", "mcubic", "mconst", "metric", "_flux")
+    __slots__ = ("N", "nvars", "mcubic", "mconst", "metric", "_flux", "_cleared")
 
     def __init__(self, mcubic: AltForm, mconst: SkewMatrix, flux, nvars=None):
         N = mconst.n
@@ -285,9 +264,8 @@ class ForcedPair:
             nvars = N
         self.N = N
         self.nvars = nvars
-        self.mcubic = mcubic
-        self.mconst = mconst
         self.metric = build_metric(mcubic, mconst, nvars)
+        self.mcubic, self.mconst = _data_blocks(mcubic, mconst, nvars)
         clean = []
         for v in flux:
             if isinstance(v, Poly):
@@ -296,23 +274,27 @@ class ForcedPair:
                 v = RatFunc.from_const(nvars, v)
             clean.append(v)
         self._flux = tuple(clean)
+        self._cleared = None
 
     @property
     def flux(self) -> tuple:
         return self._flux
 
     def flux_cleared(self) -> tuple:
-        den = Poly.one(self.nvars)
-        for v in self._flux:
-            den = den * v.den
-        nums = []
-        for k, v in enumerate(self._flux):
-            rest = Poly.one(self.nvars)
-            for j, w in enumerate(self._flux):
-                if j != k:
-                    rest = rest * w.den
-            nums.append(v.num * rest)
-        return tuple(nums), den
+        """Flux numerators over the product of the denominators; computed once."""
+        if self._cleared is None:
+            den = Poly.one(self.nvars)
+            for v in self._flux:
+                den = den * v.den
+            nums = []
+            for k, v in enumerate(self._flux):
+                rest = Poly.one(self.nvars)
+                for j, w in enumerate(self._flux):
+                    if j != k:
+                        rest = rest * w.den
+                nums.append(v.num * rest)
+            self._cleared = tuple(nums), den
+        return self._cleared
 
 
 class _Vals:
@@ -361,7 +343,6 @@ def check_compat(pair, mode: str = "auto", samples: int = 20, seed: int = _DEFAU
     if mode not in ("symbolic", "sampled"):
         raise ValueError("mode must be auto, symbolic or sampled")
     N, nvars = pair.N, pair.nvars
-    gp = _poly_entries(pair.metric)
     nums, P = pair.flux_cleared()
 
     d_num = [[nums[k].diff(p) for p in range(1, nvars + 1)] for k in range(N)]
@@ -398,7 +379,7 @@ def check_compat(pair, mode: str = "auto", samples: int = 20, seed: int = _DEFAU
     dP = [conv(p) for p in dP]
     dd_num = [[[conv(p) for p in row] for row in plane] for plane in dd_num]
     ddP = [[conv(p) for p in row] for row in ddP]
-    gval = {k: conv(v) for k, v in gp.upper.items()}
+    gval = {k: conv(v) for k, v in pair.metric.upper.items()}
 
     def gv(i, j):
         if i < j:
@@ -436,7 +417,7 @@ def check_compat(pair, mode: str = "auto", samples: int = 20, seed: int = _DEFAU
 
     def report(acc):
         if mode == "symbolic":
-            return RatFunc.from_poly(acc)
+            return acc
         idx, val = next((i, v) for i, v in enumerate(acc.v) if v)
         return {"point": points[idx], "value": val}
 
@@ -455,13 +436,11 @@ def check_compat(pair, mode: str = "auto", samples: int = 20, seed: int = _DEFAU
                 first[(p, q)] = report(acc)
 
     def cubic_coeff(i, j, k):
-        # metric derivative coefficients; may be parameters of the ring
+        # metric derivative coefficients; a Poly when they involve parameters
         c = pair.mcubic.get(i, j, k)
-        if isinstance(c, (int, Fraction)):
-            return c if c else None
         if not c:
             return None
-        return conv(_as_ring_poly(c, nvars))
+        return conv(c) if isinstance(c, Poly) else c
 
     second = {}
     for q in range(1, N + 1):
@@ -487,37 +466,4 @@ def check_compat(pair, mode: str = "auto", samples: int = 20, seed: int = _DEFAU
         "second_order": second,
         "checked": (N * (N + 1) // 2, N ** 3),
         "all_zero": not first and not second,
-    }
-
-
-def degree_report(pair) -> dict:
-    """Degrees of the flux and inverse metric against their bounds.
-
-    Flux components have numerator degree at most N/2 with denominator
-    dividing the metric pfaffian; inverse metric entries stay one degree
-    lower.
-    """
-    N = pair.N
-    pf = pfaffian(_poly_entries(pair.metric))
-    flux = []
-    ok = True
-    for v in pair.flux:
-        nd, dd = v.num.total_degree(), v.den.total_degree()
-        div = divides(v.den, pf)
-        ok = ok and nd <= N // 2 and div
-        flux.append({"num_degree": nd, "den_degree": dd, "den_divides_pf": div})
-    inverse = []
-    adj = pfaffian_adjugate(_poly_entries(pair.metric))
-    for (i, j), p in sorted(adj.upper.items()):
-        ent = RatFunc(p, pf)
-        nd = ent.num.total_degree()
-        div = divides(ent.den, pf)
-        ok = ok and nd <= (N - 2) // 2 and div
-        inverse.append({"entry": (i, j), "num_degree": nd, "den_divides_pf": div})
-    return {
-        "pf_degree": pf.total_degree(),
-        "flux": flux,
-        "inverse": inverse,
-        "bounds": {"flux_num": N // 2, "inverse_num": (N - 2) // 2, "pf": N // 2},
-        "within_bounds": ok,
     }

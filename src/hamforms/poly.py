@@ -18,8 +18,6 @@ from fractions import Fraction
 
 from .errors import PoleError
 
-Rational = Fraction
-
 
 def as_fraction(x) -> Fraction:
     """Coerce int / str / Fraction to Fraction."""
@@ -308,19 +306,6 @@ class Poly:
         return self.content_unit()[1]
 
     # -- presentation ----------------------------------------------------
-
-    def to_terms_list(self):
-        """Serialization form: list of {"exponents": [...], "coeff": "p/q"}."""
-        return [{"exponents": list(e), "coeff": str(c)} for e, c in self.sorted_terms()]
-
-    @classmethod
-    def from_terms_list(cls, num_vars, items) -> "Poly":
-        terms: dict = {}
-        for it in items:
-            e = tuple(int(x) for x in it["exponents"])
-            c = as_fraction(it["coeff"])
-            terms[e] = terms.get(e, Fraction(0)) + c
-        return cls(num_vars, terms)
 
     def format(self, names=None) -> str:
         if not self.terms:
@@ -678,24 +663,6 @@ class RatFunc:
 
     def __repr__(self):
         return "RatFunc(%s)" % self.format()
-
-
-# -- module level conveniences (uniform over Poly and RatFunc) -------------
-
-
-def differentiate(f, var: int):
-    """Partial derivative of a Poly or RatFunc in variable `var` (1-based)."""
-    return f.diff(var)
-
-
-def evaluate(f, point) -> Fraction:
-    """Exact value of a Poly or RatFunc at a rational point."""
-    return f.eval(point)
-
-
-def is_zero(f) -> bool:
-    """Exact zero test via the stored canonical form."""
-    return f.is_zero()
 
 
 def lift(x, num_vars: int) -> RatFunc:

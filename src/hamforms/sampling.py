@@ -92,20 +92,6 @@ def random_invertible(rng: Lcg, n: int, max_num: int = 4) -> Matrix:
             return m
 
 
-def random_unimodular(rng: Lcg, n: int, shears: int = 8) -> Matrix:
-    """Determinant-one integer matrix built from elementary shears."""
-    rows = [[Fraction(i == j) for j in range(n)] for i in range(n)]
-    for _ in range(shears):
-        i = rng.randint(0, n - 1)
-        j = rng.randint(0, n - 1)
-        if i == j:
-            continue
-        c = Fraction(rng.randint(-2, 2))
-        for k in range(n):
-            rows[i][k] += c * rows[j][k]
-    return Matrix(rows)
-
-
 def symplectic_transvection(rng: Lcg, j_mat: Matrix, max_num: int = 3) -> Matrix:
     """I + c v (J v)^T: preserves the symplectic form with matrix J."""
     n = j_mat.nrows

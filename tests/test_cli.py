@@ -1,9 +1,13 @@
 """Command line driver, exercised in process through main()."""
 
 import json
+from fractions import Fraction
 
 import pytest
 
+from hamforms import (AltForm, HamPair, SkewMatrix, eta_matrix,
+                      form_from_pair, omega_to_dict)
+from hamforms import cli
 from hamforms.cli import main
 
 N2_PAIR = {
@@ -90,6 +94,67 @@ def test_classify_omega(capsys, tmp_path, pair_file):
     rep = json.loads(out)
     assert rep["N"] == 2
     assert rep["system"] == ["u1_t = u1_x", "u2_t = u2_x"]
+
+
+def _n4_standard_omega(tmp_path):
+    pair = HamPair(AltForm(3, 4), eta_matrix(),
+                   SkewMatrix(4, {(1, 2): Fraction(1), (3, 4): Fraction(1)}),
+                   (Fraction(2), Fraction(0), Fraction(-1), Fraction(7)))
+    path = tmp_path / "n4omega.json"
+    path.write_text(json.dumps(omega_to_dict(form_from_pair(pair))))
+    return str(path)
+
+
+def test_classify_reports_only_the_pullback_it_ran(capsys, tmp_path,
+                                                   pair_file, monkeypatch):
+    omega_path = str(tmp_path / "omega.json")
+    run(capsys, "compose", "--pair", pair_file, "--format", "json",
+        "--output", omega_path)
+    code, out, _ = run(capsys, "classify", "--omega", omega_path,
+                       "--format", "json")
+    rep = json.loads(out)
+    assert code == 0 and rep["log"]["pullback_matches"] is True
+    assert [(c["name"], c["status"]) for c in rep["checks"]] == [
+        ("normalization verified by pullback", "pass")]
+
+    real = cli.classify_n2
+
+    def mismatched(sf):
+        res = real(sf)
+        res.log["pullback_matches"] = False
+        return res
+
+    monkeypatch.setattr(cli, "classify_n2", mismatched)
+    code, out, _ = run(capsys, "classify", "--omega", omega_path,
+                       "--format", "json")
+    assert code == 1
+    assert json.loads(out)["checks"][0]["status"] == "fail"
+
+    code, out, _ = run(capsys, "classify", "--omega",
+                       _n4_standard_omega(tmp_path), "--format", "json")
+    rep = json.loads(out)
+    assert code == 0 and rep["N"] == 4 and rep["checks"] == []
+
+
+def test_sampling_flags_only_on_sampling_commands(capsys, tmp_path,
+                                                  pair_file):
+    omega_path = str(tmp_path / "omega.json")
+    run(capsys, "compose", "--pair", pair_file, "--format", "json",
+        "--output", omega_path)
+    for argv in (["compose", "--pair", pair_file],
+                 ["decompose", "--omega", omega_path],
+                 ["classify", "--omega", omega_path],
+                 ["audit", "--dims", "2"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--sample", "5"])
+        assert exc.value.code == 2, argv
+    capsys.readouterr()
+    for argv in (["classify", "--omega", omega_path],
+                 ["audit", "--dims", "2"]):
+        code, out, _ = run(capsys, *argv, "--format", "json", "--seed", "3")
+        assert code == 0
+        assert json.loads(out)["mode"] == {"kind": "symbolic",
+                                           "samples": None, "seed": 3}
 
 
 def test_classify_rejects_six_fields(capsys, tmp_path):

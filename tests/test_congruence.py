@@ -8,10 +8,13 @@ values; everything else is property-checked.
 from fractions import Fraction
 from math import factorial
 
+import pytest
+
 from hamforms import (
     HamPair,
     Lcg,
     Matrix,
+    PoleError,
     Poly,
     RatFunc,
     annihilation_check,
@@ -139,6 +142,20 @@ def test_checks_on_random_pairs():
         p = plucker_coords(pair)
         assert annihilation_check(sf, p)["ok"]
         assert grassmann_check(p, n + 2)["ok"]
+
+
+def test_coordinates_at_a_point_from_the_cleared_flux():
+    pair = generic_pair_n2()
+    x = tuple(Fraction(k, 3) for k in range(1, N2_VARS + 1))
+    symbolic = plucker_coords(pair)
+    at_x = plucker_coords(pair, x)
+    for key in pair_columns(4):
+        want = symbolic[key].eval(x) if key in symbolic else 0
+        assert at_x.get(key, 0) == want, key
+    # the metric pfaffian of this pair is its constant metric slot
+    slot = N2_SYM["g0_12"] - 1
+    with pytest.raises(PoleError):
+        plucker_coords(pair, x[:slot] + (Fraction(0),) + x[slot + 1:])
 
 
 def test_checks_at_points_six_fields():

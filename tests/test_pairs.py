@@ -37,7 +37,7 @@ def _defining_residuals(pair):
         acc = RatFunc.from_const(pair.nvars, 0)
         for k in range(1, pair.N + 1):
             c = g.get(j, k)
-            if isinstance(c, RatFunc) and not c.num.is_zero():
+            if c:
                 acc = acc + c * v[k - 1]
         out.append(acc - RatFunc.from_poly(w[j - 1]))
     return out
@@ -72,6 +72,27 @@ def test_flux_matches_cleared_form():
         v = pair.flux
         for k in range(pair.N):
             assert RatFunc(nums[k], den) == v[k]
+
+
+def test_cleared_flux_computed_once(monkeypatch):
+    import hamforms.pairs as pairs_mod
+
+    calls = {"pfaffian": 0, "pfaffian_adjugate": 0}
+    for name in calls:
+        real = getattr(pairs_mod, name)
+
+        def counted(s, name=name, real=real):
+            calls[name] += 1
+            return real(s)
+
+        monkeypatch.setattr(pairs_mod, name, counted)
+    pair = generic_pair_n4()
+    cleared = pair.flux_cleared()
+    assert pair.flux_cleared() is cleared
+    assert pair.pf() is cleared[1]
+    pair.flux
+    check_compat(pair, mode="sampled", samples=2)
+    assert calls == {"pfaffian": 1, "pfaffian_adjugate": 1}
 
 
 def test_check_compat_symbolic():
