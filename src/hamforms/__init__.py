@@ -15,7 +15,7 @@ drives everything from JSON files.
 from .errors import (
     HamformsError, PoleError, DimensionMismatch, OddDimension,
     SingularMatrix, NotInThetaEta, DegenerateMetric, DegenerateImage,
-    WrongTBlock, NullSystemOrbit, ParseError, ValidationError,
+    WrongTBlock, NullSystemOrbit, ParseError, ValidationError, NoResidue,
     NullSystemWarning,
 )
 from .poly import Poly, RatFunc
@@ -56,7 +56,7 @@ __all__ = [
     "HamformsError", "PoleError", "DimensionMismatch", "OddDimension",
     "SingularMatrix", "NotInThetaEta", "DegenerateMetric",
     "DegenerateImage", "WrongTBlock", "NullSystemOrbit", "ParseError",
-    "ValidationError", "NullSystemWarning",
+    "ValidationError", "NoResidue", "NullSystemWarning",
     "Poly", "RatFunc", "Matrix",
     "SkewMatrix", "pfaffian", "pfaffian_adjugate", "skew_inverse",
     "AltForm", "wedge", "contract_bivector", "pullback_linear",

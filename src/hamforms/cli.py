@@ -11,8 +11,12 @@ Subcommands:
   audit       dimension bookkeeping and stabilizer checks
 
 Shared flags: --seed <s>, --format text|json|csv, --output <path>.
-verify, congruence and transform also take --symbolic or --sample <n>;
-the other commands only run symbolic checks and reject --sample.
+verify, congruence and transform also take --symbolic or --sample <n>.
+With neither they follow the library's "auto" rule: symbolic for N <= 4,
+sampled at 20 points above.  verify and transform --reciprocal sample
+residues modulo the prime 2^61-1 and record the Schwartz-Zippel bound
+of the run in the "mode" object; congruence samples rational points.
+The other commands only run symbolic checks and reject --sample.
 
 Exit codes: 0 all checks pass, 1 a verification check fails, 2 input or
 usage error.  Output is deterministic for fixed inputs and seed: JSON
@@ -26,12 +30,13 @@ transformed pair under the "pair" key.
 import argparse
 import csv
 import io
+import math
 import sys
 from fractions import Fraction
 
 from .errors import HamformsError, ValidationError
 from .linalg import Matrix
-from .pairs import check_compat
+from .pairs import auto_mode, check_compat
 from .bridge import form_from_pair, pair_from_form, dimension_audit
 from .congruence import (pair_columns, plucker_coords, plucker_homogeneous,
                          congruence_matrix, congruence_rank,
@@ -57,13 +62,46 @@ def _scalar_str(v) -> str:
     return v.format()
 
 
-def _mode_of(args) -> dict:
-    """Check mode of a run; args.sample is None on symbolic-only commands."""
-    if args.sample is not None:
-        if args.sample < 1:
-            raise ValidationError("--sample count must be at least 1")
-        return {"kind": "sampled", "samples": args.sample, "seed": args.seed}
-    return {"kind": "symbolic", "samples": None, "seed": args.seed}
+def _mode_of(args, n=None) -> dict:
+    """Check mode of a run that may sample at n fields; n is None where
+    nothing is sampled.  With neither --symbolic nor --sample the mode is
+    the one `auto_mode(n)` names."""
+    sample = args.sample
+    if sample is not None and sample < 1:
+        raise ValidationError("--sample count must be at least 1")
+    if (sample is None and n is not None and not args.symbolic
+            and auto_mode(n) == "sampled"):
+        sample = _DEFAULT_SAMPLES
+    if n is None or sample is None:
+        return {"kind": "symbolic", "samples": None, "seed": args.seed}
+    return {"kind": "sampled", "samples": sample, "seed": args.seed}
+
+
+def _bound_str(b: Fraction) -> str:
+    """A probability bound in base-10 notation, three digits rounded up;
+    exact, so bounds far below the float range print too."""
+    if not b:
+        return "0"
+    e = len(str(b.numerator)) - len(str(b.denominator))
+    if b < Fraction(10) ** e:
+        e -= 1
+    m = math.ceil(b * Fraction(10) ** (2 - e))
+    if m == 1000:
+        m, e = 100, e + 1
+    return "%d.%02de%d" % (m // 100, m % 100, e)
+
+
+def _add_bound(mode, rep, lines) -> None:
+    """Record the bound of a sampled check_compat report `rep` in the mode
+    object and as one text line."""
+    if mode["kind"] != "sampled":
+        return
+    mode.update(modulus=rep["modulus"], degree=rep["degree"],
+                points=rep["points"], bound=_bound_str(rep["bound"]))
+    lines.append("sampled mod %d: a nonzero residual (degree <= %d) "
+                 "vanishes at all %d points with probability <= %s"
+                 % (mode["modulus"], mode["degree"], mode["points"],
+                    mode["bound"]))
 
 
 def _check(name, ok, provenance, residuals=None) -> dict:
@@ -202,7 +240,7 @@ def _residual_json(res, mode) -> dict:
 
 def cmd_verify(args) -> int:
     pair = pair_from_dict(load_json(args.pair), where=args.pair)
-    mode = _mode_of(args)
+    mode = _mode_of(args, pair.N)
     rep = check_compat(pair, mode=mode["kind"],
                        samples=mode["samples"] or _DEFAULT_SAMPLES,
                        seed=mode["seed"])
@@ -215,9 +253,10 @@ def cmd_verify(args) -> int:
                not rep["second_order"], rep["mode"],
                _residual_json(rep["second_order"], rep["mode"])),
     ]
-    payload = _report("verify", {"pair": args.pair}, mode, checks)
     lines = ["verify %s" % args.pair, "mode: %s (seed %d)"
              % (mode["kind"], mode["seed"])]
+    _add_bound(mode, rep, lines)
+    payload = _report("verify", {"pair": args.pair}, mode, checks)
     for c in checks:
         lines.append("%s: %s" % (c["name"], c["status"]))
         for key, val in c["residuals"].items():
@@ -262,7 +301,7 @@ def cmd_congruence(args) -> int:
     dim = pair.N + 2
     m = congruence_matrix(sf)
     rank_info = congruence_rank(sf)
-    mode = _mode_of(args)
+    mode = _mode_of(args, pair.N)
 
     checks = []
     if mode["kind"] == "symbolic":
@@ -412,7 +451,8 @@ def _parse_reciprocal_file(path, n) -> ReciprocalMap:
 
 def cmd_transform(args) -> int:
     pair = pair_from_dict(load_json(args.pair), where=args.pair)
-    mode = _mode_of(args)
+    # only the reciprocal image is checked by sampling
+    mode = _mode_of(args, pair.N if args.reciprocal else None)
     inputs = {"pair": args.pair}
     checks = []
 
@@ -437,9 +477,7 @@ def cmd_transform(args) -> int:
         inputs["reciprocal"] = args.reciprocal
         r = _parse_reciprocal_file(args.reciprocal, pair.N)
         new_pair = apply_reciprocal(pair, r)
-        rep = check_compat(new_pair,
-                           mode=("sampled" if mode["kind"] == "sampled"
-                                 else "auto"),
+        rep = check_compat(new_pair, mode=mode["kind"],
                            samples=mode["samples"] or _DEFAULT_SAMPLES,
                            seed=mode["seed"])
         checks.append(_check("transformed pair satisfies the "
@@ -447,15 +485,16 @@ def cmd_transform(args) -> int:
                              rep["all_zero"], rep["mode"]))
         extra = {"kind": "reciprocal"}
 
-    payload = _report("transform", inputs, mode, checks,
-                      pair=pair_to_dict(new_pair), **extra)
-    ok = payload["ok"]
     lines = ["transform (%s) %s" % (extra["kind"], args.pair)]
     lines.extend(_pair_text(new_pair))
     for c in checks:
         lines.append("%s: %s" % (c["name"], c["status"]))
+    if args.reciprocal:
+        _add_bound(mode, rep, lines)
+    payload = _report("transform", inputs, mode, checks,
+                      pair=pair_to_dict(new_pair), **extra)
     _emit(args, payload, lines, _checks_csv(checks))
-    return 0 if ok else 1
+    return 0 if payload["ok"] else 1
 
 
 def cmd_audit(args) -> int:
@@ -503,9 +542,13 @@ def cmd_audit(args) -> int:
 def _add_sampling(sp) -> None:
     group = sp.add_mutually_exclusive_group()
     group.add_argument("--symbolic", action="store_true",
-                       help="prove checks as exact identities (default)")
+                       help="prove checks as exact identities (default for "
+                            "N <= 4 fields)")
     group.add_argument("--sample", type=int, metavar="N", default=None,
-                       help="evaluate checks at N random rational points")
+                       help="evaluate checks at N random points (default "
+                            "20 for N > 4 fields): residues modulo 2^61-1 "
+                            "for verify and transform, rational points for "
+                            "congruence")
 
 
 def _add_common(sp) -> None:

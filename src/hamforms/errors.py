@@ -49,5 +49,9 @@ class ValidationError(HamformsError):
     """Input file is syntactically valid but semantically inconsistent."""
 
 
+class NoResidue(HamformsError, ValueError):
+    """A rational number has no residue modulo the sampling prime."""
+
+
 class NullSystemWarning(UserWarning):
     """Three-form has no system part; the induced flux is constant."""

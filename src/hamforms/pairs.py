@@ -25,10 +25,10 @@ import warnings
 from fractions import Fraction
 
 from .errors import DegenerateMetric, DimensionMismatch, OddDimension
-from .errors import NullSystemWarning
+from .errors import NoResidue, NullSystemWarning
 from .forms import AltForm
-from .poly import Poly, RatFunc
-from .sampling import Lcg, random_skew, random_three_form, random_vector, sample_point
+from .poly import Poly, RatFunc, exact_div, poly_gcd
+from .sampling import Lcg, random_skew, random_three_form, random_vector
 from .skew import SkewMatrix, pfaffian, pfaffian_adjugate
 
 _DEFAULT_SEED = 715225741
@@ -281,91 +281,168 @@ class ForcedPair:
         return self._flux
 
     def flux_cleared(self) -> tuple:
-        """Flux numerators over the product of the denominators; computed once."""
+        """Flux numerators over the lcm of the denominators; computed once."""
         if self._cleared is None:
             den = Poly.one(self.nvars)
             for v in self._flux:
-                den = den * v.den
-            nums = []
-            for k, v in enumerate(self._flux):
-                rest = Poly.one(self.nvars)
-                for j, w in enumerate(self._flux):
-                    if j != k:
-                        rest = rest * w.den
-                nums.append(v.num * rest)
-            self._cleared = tuple(nums), den
+                den = den * exact_div(v.den, poly_gcd(den, v.den))
+            nums = tuple(v.num * exact_div(den, v.den) for v in self._flux)
+            self._cleared = nums, den
         return self._cleared
 
 
+# Sampled checks run in the integers modulo this Mersenne prime.
+MODULUS = (1 << 61) - 1
+
+
+def _residue(c) -> int:
+    """A rational number reduced mod MODULUS."""
+    if isinstance(c, int):
+        return c % MODULUS
+    if c.denominator % MODULUS == 0:
+        raise NoResidue("coefficient %s has no residue mod 2^61-1: its "
+                         "denominator is a multiple of the modulus" % c)
+    return c.numerator * pow(c.denominator, -1, MODULUS) % MODULUS
+
+
+def _random_residue(rng: Lcg) -> int:
+    # the top 61 bits of a word, redrawn in the one case they equal the
+    # modulus, are uniform on 0 .. MODULUS-1
+    while True:
+        x = rng.next_u64() >> 3
+        if x != MODULUS:
+            return x
+
+
+def _reduced_terms(p: Poly) -> list:
+    """(coefficient residue, [(variable index, exponent)]) per term."""
+    return [(_residue(c), [(i, k) for i, k in enumerate(e) if k])
+            for e, c in p.terms.items()]
+
+
+def _eval_mod(terms, x) -> int:
+    total = 0
+    for c, mono in terms:
+        for i, k in mono:
+            c = c * pow(x[i], k, MODULUS) % MODULUS
+        total += c
+    return total % MODULUS
+
+
 class _Vals:
-    """A polynomial reduced to its values at fixed sample points.
+    """A polynomial reduced to its residues mod MODULUS at fixed points.
 
     Swapping these in for Poly turns the symbolic compatibility check
-    into a pointwise one with no change to the formulas.
+    into a pointwise one with no change to the formulas.  Rational
+    scalars are reduced mod MODULUS before they multiply; `_residue`
+    raises NoResidue, a ValueError, for one whose denominator the modulus
+    divides, rather than return a wrong residue.
     """
 
     __slots__ = ("v",)
 
     def __init__(self, v):
-        self.v = tuple(v)
+        self.v = v
+
+    @classmethod
+    def at(cls, p: Poly, points) -> "_Vals":
+        terms = _reduced_terms(p)
+        return cls([_eval_mod(terms, x) for x in points])
 
     def __add__(self, other):
-        return _Vals(a + b for a, b in zip(self.v, other.v))
+        return _Vals([(a + b) % MODULUS for a, b in zip(self.v, other.v)])
 
     def __sub__(self, other):
-        return _Vals(a - b for a, b in zip(self.v, other.v))
+        return _Vals([(a - b) % MODULUS for a, b in zip(self.v, other.v)])
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return _Vals(a * other for a in self.v)
-        return _Vals(a * b for a, b in zip(self.v, other.v))
+        if isinstance(other, _Vals):
+            return _Vals([a * b % MODULUS for a, b in zip(self.v, other.v)])
+        c = _residue(other)
+        return _Vals([a * c % MODULUS for a in self.v])
 
     __rmul__ = __mul__
 
     def __bool__(self):
         return any(self.v)
 
-    def is_zero(self):
-        return not any(self.v)
+
+def _residue_points(pf: Poly, nvars: int, samples: int, seed: int) -> list:
+    """Uniform residue points mod MODULUS where Pf(g) does not vanish."""
+    terms = _reduced_terms(pf)
+    rng = Lcg(seed)
+    points = []
+    while len(points) < samples:
+        x = tuple(_random_residue(rng) for _ in range(nvars))
+        if _eval_mod(terms, x):
+            points.append(x)
+    return points
+
+
+def _hessian(grad, conv) -> list:
+    """Second derivatives over the field directions from the gradient;
+    each entry is computed once for p <= l and mirrored."""
+    n = len(grad)
+    h = [[None] * n for _ in range(n)]
+    for p in range(n):
+        for l in range(p, n):
+            h[p][l] = h[l][p] = conv(grad[p].diff(l + 1))
+    return h
+
+
+def auto_mode(n: int) -> str:
+    """The check mode "auto" picks at n fields: a proof while that stays
+    cheap (n <= 4), sampling above."""
+    return "symbolic" if n <= 4 else "sampled"
 
 
 def check_compat(pair, mode: str = "auto", samples: int = 20, seed: int = _DEFAULT_SEED) -> dict:
     """Verify the first- and second-order compatibility identities.
 
     With the flux written as V^k = n^k / P over a common denominator,
-    both identities clear to polynomial form.  The symbolic mode proves
-    them as polynomial identities; the sampled mode evaluates the same
-    combinations at random points where P does not vanish.  Returns a
-    report holding any nonzero residuals.
+    both identities clear to polynomial form; only derivatives in the
+    field directions u^1..u^N enter.  The symbolic mode proves them as
+    polynomial identities.  The sampled mode evaluates the same
+    combinations modulo the prime p = 2^61 - 1 at `samples` points of
+    independent uniform residues, redrawing any point where P vanishes
+    mod p.  Every residual has total degree at most
+    d = deg g + max deg n^k + 2 deg P - 1 in the ring variables, so by
+    Schwartz-Zippel a residual that is nonzero mod p vanishes at one such
+    point with probability at most d / (p - deg P), and at all of them
+    with at most bound = (d / (p - deg P))^samples.  A residual whose
+    every coefficient is divisible by p cannot be seen this way.  The
+    sampled report adds "modulus", "degree" (d), "points" and "bound"
+    (an exact Fraction).
+
+    Returns a report holding any nonzero residuals: the residual
+    polynomial in symbolic mode, the first failing point (residues) and
+    the residue there in sampled mode.
     """
     if mode == "auto":
-        mode = "symbolic" if pair.N <= 4 else "sampled"
+        mode = auto_mode(pair.N)
     if mode not in ("symbolic", "sampled"):
         raise ValueError("mode must be auto, symbolic or sampled")
     N, nvars = pair.N, pair.nvars
     nums, P = pair.flux_cleared()
 
-    d_num = [[nums[k].diff(p) for p in range(1, nvars + 1)] for k in range(N)]
-    dP = [P.diff(p) for p in range(1, nvars + 1)]
-    dd_num = [
-        [[d_num[k][p].diff(l + 1) for l in range(nvars)] for p in range(nvars)]
-        for k in range(N)
-    ]
-    ddP = [[dP[p].diff(l + 1) for l in range(nvars)] for p in range(nvars)]
-
-    points = None
+    bound_keys = {}
     if mode == "sampled":
-        rng = Lcg(seed)
-        points = []
-        while len(points) < samples:
-            x = sample_point(rng, nvars)
-            if P.eval(x):
-                points.append(x)
+        if samples < 1:
+            raise ValueError("sampled mode needs at least one point")
+        deg_g = max((e.total_degree() for e in pair.metric.upper.values()),
+                    default=0)
+        deg_n = max(n.total_degree() for n in nums)
+        deg_p = P.total_degree()
+        degree = max(0, deg_g + deg_n + 2 * deg_p - 1)
+        bound_keys = {"modulus": MODULUS, "degree": degree,
+                      "points": samples,
+                      "bound": Fraction(degree, MODULUS - deg_p) ** samples}
+        points = _residue_points(P, nvars, samples, seed)
 
         def conv(p):
-            return _Vals(p.eval(x) for x in points)
+            return _Vals.at(p, points)
 
-        zero = _Vals((Fraction(0),) * len(points))
+        zero = _Vals([0] * samples)
     else:
 
         def conv(p):
@@ -373,19 +450,19 @@ def check_compat(pair, mode: str = "auto", samples: int = 20, seed: int = _DEFAU
 
         zero = Poly.zero(nvars)
 
+    fields = range(1, N + 1)
+    grad_num = [[n.diff(p) for p in fields] for n in nums]
+    grad_P = [P.diff(p) for p in fields]
+    dd_num = [_hessian(grad, conv) for grad in grad_num]
+    ddP = _hessian(grad_P, conv)
+    d_num = [[conv(p) for p in grad] for grad in grad_num]
+    dP = [conv(p) for p in grad_P]
     nums = [conv(n) for n in nums]
     P = conv(P)
-    d_num = [[conv(p) for p in row] for row in d_num]
-    dP = [conv(p) for p in dP]
-    dd_num = [[[conv(p) for p in row] for row in plane] for plane in dd_num]
-    ddP = [[conv(p) for p in row] for row in ddP]
-    gval = {k: conv(v) for k, v in pair.metric.upper.items()}
-
-    def gv(i, j):
-        if i < j:
-            return gval.get((i, j))
-        v = gval.get((j, i))
-        return None if v is None else v * Fraction(-1)
+    g = {}
+    for (i, j), v in pair.metric.upper.items():
+        g[(i, j)] = conv(v)
+        g[(j, i)] = g[(i, j)] * Fraction(-1)
 
     d1_cache = {}
 
@@ -426,21 +503,28 @@ def check_compat(pair, mode: str = "auto", samples: int = 20, seed: int = _DEFAU
         for q in range(p, N + 1):
             acc = zero
             for j in range(1, N + 1):
-                a = gv(q, j)
+                a = g.get((q, j))
                 if a is not None:
                     acc = acc + a * d1(j, p)
-                b = gv(p, j)
+                b = g.get((p, j))
                 if b is not None:
                     acc = acc + b * d1(j, q)
             if acc:
                 first[(p, q)] = report(acc)
 
+    cubic_cache = {}
+
     def cubic_coeff(i, j, k):
         # metric derivative coefficients; a Poly when they involve parameters
-        c = pair.mcubic.get(i, j, k)
-        if not c:
-            return None
-        return conv(c) if isinstance(c, Poly) else c
+        key = (i, j, k)
+        if key not in cubic_cache:
+            c = pair.mcubic.get(i, j, k)
+            if not c:
+                c = None
+            elif isinstance(c, Poly):
+                c = conv(c)
+            cubic_cache[key] = c
+        return cubic_cache[key]
 
     second = {}
     for q in range(1, N + 1):
@@ -448,7 +532,7 @@ def check_compat(pair, mode: str = "auto", samples: int = 20, seed: int = _DEFAU
             for l in range(1, N + 1):
                 acc = zero
                 for k in range(1, N + 1):
-                    a = gv(q, k)
+                    a = g.get((q, k))
                     if a is not None:
                         acc = acc + a * d2(k, p, l)
                     c1 = cubic_coeff(p, q, k)
@@ -466,4 +550,5 @@ def check_compat(pair, mode: str = "auto", samples: int = 20, seed: int = _DEFAU
         "second_order": second,
         "checked": (N * (N + 1) // 2, N ** 3),
         "all_zero": not first and not second,
+        **bound_keys,
     }

@@ -267,3 +267,97 @@ def test_sample_must_be_positive(capsys, pair_file):
     code, _, err = run(capsys, "verify", "--pair", pair_file,
                        "--sample", "0")
     assert code == 2
+
+
+def _terms(entries):
+    return [{"idx": list(idx), "coeff": c} for idx, c in entries]
+
+
+# six fields, two cubic entries: sampling takes well under a second,
+# a symbolic check would take minutes
+N6_PAIR = {
+    "N": 6,
+    "T": {"degree": 3, "dim": 6,
+          "terms": _terms([((1, 2, 3), "1"), ((1, 4, 5), "-2")])},
+    "g0": {"degree": 2, "dim": 6,
+           "terms": _terms([((1, 2), "1"), ((1, 5), "2"), ((3, 4), "-1"),
+                            ((3, 6), "1"), ((5, 6), "3")])},
+    "A": {"degree": 2, "dim": 6,
+          "terms": _terms([((1, 3), "1"), ((2, 4), "2"), ((5, 6), "-1")])},
+    "B": ["1", "0", "-2", "1", "0", "3"],
+}
+
+
+def test_six_fields_default_to_sampling(capsys, tmp_path, monkeypatch):
+    path = tmp_path / "n6.json"
+    path.write_text(json.dumps(N6_PAIR))
+    rpath = tmp_path / "recip.json"
+    rpath.write_text(json.dumps(
+        {"ax": ["1", "0", "-1", "0", "0", "1"], "ax0": "2", "bt": "1",
+         "bx": ["0"] * 6, "cx": "0", "dt0": "1"}))
+    asked = []
+    real = cli.check_compat
+
+    def recorded(pair, mode="auto", **kwargs):
+        asked.append(mode)
+        return real(pair, mode=mode, **kwargs)
+
+    monkeypatch.setattr(cli, "check_compat", recorded)
+    for argv in (["verify", "--pair", str(path)],
+                 ["transform", "--pair", str(path),
+                  "--reciprocal", str(rpath)]):
+        code, out, _ = run(capsys, *argv, "--format", "json")
+        rep = json.loads(out)
+        assert code == 0 and rep["ok"] is True, argv
+        mode = rep["mode"]
+        assert mode["kind"] == "sampled" and mode["samples"] == 20
+        assert mode["modulus"] == 2 ** 61 - 1 and mode["points"] == 20
+        assert mode["degree"] >= 1
+        mantissa, exponent = mode["bound"].split("e")
+        assert float(mantissa) >= 1 and int(exponent) < -300
+        assert all(c["provenance"] == "sampled" for c in rep["checks"])
+        assert all("bound" not in c for c in rep["checks"])
+        code, out, _ = run(capsys, *argv)
+        assert sum(line.startswith("sampled mod ")
+                   for line in out.splitlines()) == 1
+    assert asked and set(asked) == {"sampled"}
+
+    code, out, _ = run(capsys, "congruence", "--pair", str(path),
+                       "--format", "json")
+    rep = json.loads(out)
+    assert code == 0
+    assert rep["mode"] == {"kind": "sampled", "samples": 20, "seed": 1}
+    assert all("(20 points)" in c["name"] for c in rep["checks"])
+
+
+def test_symbolic_stays_the_default_up_to_four_fields(capsys, pair_file):
+    outs = []
+    for extra in ([], ["--symbolic"]):
+        code, out, _ = run(capsys, "verify", "--pair", pair_file,
+                           "--format", "json", *extra)
+        assert code == 0
+        outs.append(out)
+    assert outs[0] == outs[1]
+    assert json.loads(outs[0])["mode"] == {"kind": "symbolic",
+                                           "samples": None, "seed": 1}
+    # the exchange check never samples, whatever was asked
+    code, out, _ = run(capsys, "transform", "--pair", pair_file, "--xt",
+                       "--sample", "5", "--format", "json")
+    assert json.loads(out)["mode"]["kind"] == "symbolic"
+
+
+def test_bound_rendering():
+    assert cli._bound_str(Fraction(1, 10 ** 17) ** 20) == "1.00e-340"
+    assert cli._bound_str(Fraction(1, 3)) == "3.34e-1"
+    assert cli._bound_str(Fraction(999999, 10 ** 6)) == "1.00e0"
+    assert cli._bound_str(Fraction(0)) == "0"
+
+
+def test_coefficient_without_residue_is_input_error(capsys, tmp_path):
+    doc = dict(N2_PAIR, B=["1/%d" % (2 ** 61 - 1), "0"])
+    path = tmp_path / "bad_residue.json"
+    path.write_text(json.dumps(doc))
+    code, _, err = run(capsys, "verify", "--pair", str(path),
+                       "--sample", "3")
+    assert code == 2
+    assert err.startswith("error:") and "2^61-1" in err

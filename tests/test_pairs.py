@@ -7,6 +7,7 @@ proved symbolically here, independently of check_compat's own route.
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hamforms import (
     AltForm,
@@ -14,6 +15,7 @@ from hamforms import (
     ForcedPair,
     HamPair,
     Lcg,
+    NoResidue,
     NullSystemWarning,
     OddDimension,
     Poly,
@@ -23,6 +25,7 @@ from hamforms import (
     check_compat,
     rhs_covector,
 )
+from hamforms.poly import divides
 
 from helpers import generic_pair_n2, generic_pair_n4, pairs_equal
 
@@ -171,3 +174,130 @@ def test_forced_pair_keeps_flux():
     nums, den = forced.flux_cleared()
     for k in range(4):
         assert RatFunc(nums[k], den) == pair.flux[k]
+
+
+def test_forced_pair_clears_by_the_lcm():
+    pair = generic_pair_n2()
+    flux = list(pair.flux)
+    g12 = Poly.var(pair.nvars, 4)
+    flux[0] = flux[0] + RatFunc.from_poly(Poly.var(pair.nvars, 1)) / g12
+    flux[1] = flux[1] / (g12 * g12)
+    forced = ForcedPair(pair.mcubic, pair.mconst, tuple(flux),
+                        nvars=pair.nvars)
+    nums, den = forced.flux_cleared()
+    product = Poly.one(pair.nvars)
+    for k, v in enumerate(forced.flux):
+        assert divides(v.den, den)
+        assert RatFunc(nums[k], den) == v
+        product = product * v.den
+    assert divides(den, product)
+    assert den.total_degree() < product.total_degree()
+
+
+# -- the sampled check: residues modulo the prime 2^61 - 1 -------------------
+
+P61 = 2 ** 61 - 1
+
+
+def _mod_eval(poly, point):
+    """A rational polynomial reduced mod P61 at a residue point; inverses
+    by Fermat's little theorem."""
+    total = 0
+    for e, c in poly.terms.items():
+        v = c.numerator * pow(c.denominator, P61 - 2, P61)
+        for x, k in zip(point, e):
+            v = v * pow(x, k, P61) % P61
+        total += v
+    return total % P61
+
+
+def _perturbed(pair, k, m, c):
+    """ForcedPair with V^k replaced by V^k + c u^m."""
+    flux = list(pair.flux)
+    flux[k - 1] = flux[k - 1] + RatFunc.var(pair.nvars, m) * c
+    return ForcedPair(pair.mcubic, pair.mconst, tuple(flux), nvars=pair.nvars)
+
+
+def test_check_differentiates_only_in_field_directions(monkeypatch):
+    pair = generic_pair_n4()
+    n = pair.N
+    assert pair.nvars > n
+    pair.flux_cleared()
+    real = Poly.diff
+    calls = []
+
+    def counted(self, var):
+        calls.append(var)
+        return real(self, var)
+
+    monkeypatch.setattr(Poly, "diff", counted)
+    for mode in ("sampled", "symbolic"):
+        calls.clear()
+        assert check_compat(pair, mode=mode, samples=3)["all_zero"]
+        assert len(calls) <= (n + 1) * (n + n * (n + 1) // 2)
+        assert max(calls) <= n
+
+
+@pytest.mark.parametrize("n, k, m", [(2, 1, 2), (4, 2, 3), (6, 1, 4)])
+def test_sampled_check_catches_a_perturbed_flux(n, k, m):
+    pair = HamPair.random(Lcg(40 + n), n)
+    forced = _perturbed(pair, k, m, Fraction(3, 2))
+    rep = check_compat(forced, mode="sampled", seed=11)
+    assert rep["mode"] == "sampled" and not rep["all_zero"]
+    assert rep == check_compat(forced, mode="sampled", seed=11)
+    if n == 6:
+        return
+    sym = check_compat(forced, mode="symbolic")
+    pf = forced.flux_cleared()[1]
+    for order in ("first_order", "second_order"):
+        assert set(rep[order]) <= set(sym[order])
+        for key, hit in rep[order].items():
+            assert len(hit["point"]) == forced.nvars
+            assert _mod_eval(pf, hit["point"]) != 0
+            assert hit["value"] != 0
+            assert hit["value"] == _mod_eval(sym[order][key], hit["point"])
+
+
+def test_sampled_report_states_its_bound():
+    for pair in (generic_pair_n2(), generic_pair_n4()):
+        forced = _perturbed(pair, 1, 2, Fraction(1))
+        rep = check_compat(forced, mode="sampled", samples=7, seed=3)
+        pf = forced.flux_cleared()[1]
+        assert rep["modulus"] == P61 and rep["points"] == 7
+        assert rep["bound"] == Fraction(
+            rep["degree"], P61 - pf.total_degree()) ** 7
+        sym = check_compat(forced, mode="symbolic")
+        assert not {"modulus", "degree", "points", "bound"} & set(sym)
+        degrees = [r.total_degree()
+                   for order in ("first_order", "second_order")
+                   for r in sym[order].values()]
+        assert degrees and max(degrees) <= rep["degree"]
+
+
+def test_sampled_check_refuses_coefficients_without_residue():
+    pair = HamPair(
+        AltForm(3, 2),
+        SkewMatrix(2, {(1, 2): Fraction(1)}),
+        SkewMatrix(2, {(1, 2): Fraction(1)}),
+        (Fraction(1, P61), Fraction(0)),
+    )
+    assert check_compat(pair, mode="symbolic")["all_zero"]
+    with pytest.raises(ValueError, match="2\\^61-1"):
+        check_compat(pair, mode="sampled")
+    with pytest.raises(NoResidue):
+        check_compat(pair, mode="sampled")
+    with pytest.raises(ValueError):
+        check_compat(pair, mode="sampled", samples=0)
+
+
+@settings(max_examples=12, deadline=None)
+@given(seed=st.integers(0, 2 ** 32), n=st.sampled_from([2, 4]),
+       k=st.integers(1, 4), shift=st.integers(1, 3),
+       c=st.fractions(min_value=-3, max_value=3, max_denominator=4))
+def test_sampled_and_symbolic_agree(seed, n, k, shift, c):
+    pair = HamPair.random(Lcg(seed), n)
+    k = (k - 1) % n + 1
+    m = (k - 1 + shift) % n + 1
+    for p in (pair, _perturbed(pair, k, m, c)):
+        assert (check_compat(p, mode="sampled", seed=seed)["all_zero"]
+                == check_compat(p, mode="symbolic")["all_zero"])
