@@ -24,8 +24,7 @@ from .skew import SkewMatrix, pfaffian, pfaffian_adjugate, skew_inverse
 from .forms import AltForm, wedge, contract_bivector, pullback_linear
 from .pairs import HamPair, ForcedPair, check_compat, build_metric, rhs_covector
 from .bridge import (
-    StructureForm, form_from_pair, pair_from_form,
-    homogenize_metric, homogenize_covector, dimension_audit,
+    StructureForm, form_from_pair, pair_from_form, dimension_audit,
 )
 from .congruence import (
     plucker_coords, plucker_homogeneous, grassmann_check,
@@ -37,7 +36,6 @@ from .classify import (
     classify_n2, classify_n4, canonical_n2_pair, canonical_n4_pair,
     canonical_form_n2, eta_form, eta_matrix, t4_form,
     system_coefficients, format_system, stabilizer_audit, sp4_basis,
-    skew_as_form, form_as_skew,
 )
 from .transforms import (
     ProjectiveMap, ReciprocalMap, apply_projective, apply_xt_exchange,
@@ -63,7 +61,7 @@ __all__ = [
     "HamPair", "ForcedPair", "check_compat", "build_metric",
     "rhs_covector",
     "StructureForm", "form_from_pair", "pair_from_form",
-    "homogenize_metric", "homogenize_covector", "dimension_audit",
+    "dimension_audit",
     "plucker_coords", "plucker_homogeneous", "grassmann_check",
     "congruence_matrix", "congruence_rank", "annihilation_check",
     "pair_columns", "sign_normalize_rows",
@@ -71,7 +69,7 @@ __all__ = [
     "q_form", "classify_n2", "classify_n4", "canonical_n2_pair",
     "canonical_n4_pair", "canonical_form_n2", "eta_form", "eta_matrix",
     "t4_form", "system_coefficients", "format_system",
-    "stabilizer_audit", "sp4_basis", "skew_as_form", "form_as_skew",
+    "stabilizer_audit", "sp4_basis",
     "ProjectiveMap", "ReciprocalMap", "apply_projective",
     "apply_xt_exchange", "apply_reciprocal", "conformal_check",
     "Lcg",

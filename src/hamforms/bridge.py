@@ -3,12 +3,13 @@
 A pair in N fields is equivalent to a single alternating three-form on
 N + 2 coordinates.  Coordinates 1..N match the fields, coordinate N + 1
 homogenizes the constant parts, and coordinate N + 2 carries the
-covector data:
+covector data.  `layout(N)` is the one statement of where each block
+sits; every reader and writer of the layout goes through it:
 
-    component (i, j, k), k <= N      ->  metric three-form
-    component (i, j, N+1)            ->  constant metric part
-    component (i, j, N+2)            ->  skew covector part
-    component (i, N+1, N+2)          ->  constant covector part
+    component (i, j, k), k <= N      ->  metric three-form   mcubic[i, j, k]
+    component (i, j, N+1)            ->  constant metric part mconst[i, j]
+    component (i, j, N+2)            ->  skew covector part   wskew[i, j]
+    component (i, N+1, N+2)          ->  constant covector    wconst[i]
 
 Every strictly increasing triple from {1, .., N+2} lands in exactly one
 of the four blocks, so the packaging loses nothing; `dimension_audit`
@@ -18,13 +19,40 @@ verifies the bookkeeping.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 from itertools import combinations
 from math import comb
+from types import MappingProxyType
 
 from .errors import DimensionMismatch, OddDimension
-from .forms import AltForm, wedge
+from .forms import AltForm
 from .pairs import HamPair
 from .skew import SkewMatrix
+
+
+def _check_n(N: int) -> None:
+    if N % 2 or N < 2:
+        raise OddDimension("field count must be even and positive")
+
+
+@cache
+def layout(N: int) -> MappingProxyType:
+    """The four-block layout: each increasing triple of 1..N+2 mapped to
+    (block, the indices that block keeps).  Read-only: one table per N
+    is shared by every caller."""
+    _check_n(N)
+    table = {}
+    for t in combinations(range(1, N + 3), 3):
+        i, j, k = t
+        if k <= N:
+            table[t] = ("mcubic", t)
+        elif j > N:
+            table[t] = ("wconst", (i,))
+        elif k == N + 1:
+            table[t] = ("mconst", (i, j))
+        else:
+            table[t] = ("wskew", (i, j))
+    return MappingProxyType(table)
 
 
 class StructureForm:
@@ -33,8 +61,7 @@ class StructureForm:
     __slots__ = ("N", "form")
 
     def __init__(self, N: int, form: AltForm):
-        if N % 2 or N < 2:
-            raise OddDimension("field count must be even and positive")
+        _check_n(N)
         if form.degree != 3 or form.dim != N + 2:
             raise DimensionMismatch("expected a three-form on N + 2 coordinates")
         self.N = N
@@ -47,50 +74,37 @@ class StructureForm:
     def get(self, *idx):
         return self.form.get(*idx)
 
+    def _parts(self, *blocks) -> list:
+        """(triple, kept indices, component) over the named blocks."""
+        table = layout(self.N)
+        return [(t, table[t][1], v) for t, v in self.form.comps.items()
+                if table[t][0] in blocks]
+
     # -- the four stored blocks --------------------------------------
 
     def mcubic_block(self) -> AltForm:
-        N = self.N
-        comps = {k: v for k, v in self.form.comps.items() if k[2] <= N}
-        return AltForm(3, N, comps)
+        return AltForm(3, self.N, {k: v for _, k, v in self._parts("mcubic")})
 
     def mconst_block(self) -> SkewMatrix:
-        N = self.N
-        upper = {}
-        for (i, j, k), v in self.form.comps.items():
-            if k == N + 1 and j <= N:
-                upper[(i, j)] = v
-        return SkewMatrix(N, upper)
+        return SkewMatrix(self.N, {k: v for _, k, v in self._parts("mconst")})
 
     def wskew_block(self) -> SkewMatrix:
-        N = self.N
-        upper = {}
-        for (i, j, k), v in self.form.comps.items():
-            if k == N + 2 and j <= N:
-                upper[(i, j)] = v
-        return SkewMatrix(N, upper)
+        return SkewMatrix(self.N, {k: v for _, k, v in self._parts("wskew")})
 
     def wconst_block(self) -> tuple:
-        N = self.N
-        out = [Fraction(0)] * N
-        for (i, j, k), v in self.form.comps.items():
-            if j == N + 1 and k == N + 2:
-                out[i - 1] = v
-        return tuple(out)
+        b = {k: v for _, k, v in self._parts("wconst")}
+        return tuple(b.get((i,), Fraction(0)) for i in range(1, self.N + 1))
 
     # -- the two homogeneous halves -----------------------------------
 
     def metric_block(self) -> AltForm:
         """Terms free of the last coordinate: a three-form on N + 1."""
-        comps = {k: v for k, v in self.form.comps.items() if k[2] <= self.N + 1}
+        comps = {t: v for t, _, v in self._parts("mcubic", "mconst")}
         return AltForm(3, self.N + 1, comps)
 
     def w_block(self) -> AltForm:
         """Coefficient of the last coordinate: a two-form on N + 1."""
-        comps = {}
-        for (i, j, k), v in self.form.comps.items():
-            if k == self.N + 2:
-                comps[(i, j)] = v
+        comps = {t[:2]: v for t, _, v in self._parts("wskew", "wconst")}
         return AltForm(2, self.N + 1, comps)
 
     def __eq__(self, other):
@@ -105,40 +119,23 @@ class StructureForm:
         return "StructureForm(N=%d, %s)" % (self.N, self.form.format())
 
 
-def homogenize_metric(mcubic: AltForm, mconst: SkewMatrix) -> AltForm:
-    """Fold the constant metric part into a three-form on N + 1."""
-    N = mconst.n
-    if mcubic.degree != 3 or mcubic.dim != N:
-        raise DimensionMismatch("three-form does not match the matrix size")
-    comps = dict(mcubic.comps)
-    for (i, j), v in mconst.upper.items():
-        comps[(i, j, N + 1)] = v
-    return AltForm(3, N + 1, comps)
-
-
-def homogenize_covector(wskew: SkewMatrix, wconst) -> AltForm:
-    """Fold the covector data into a two-form on N + 1."""
-    N = wskew.n
-    if len(wconst) != N:
-        raise DimensionMismatch("covector length does not match")
-    comps = dict(wskew.upper)
-    for i, b in enumerate(wconst, start=1):
-        if isinstance(b, int):
-            b = Fraction(b)
-        if b:
-            comps[(i, N + 1)] = b
-    return AltForm(2, N + 1, comps)
+def _assemble(N: int, mcubic, mconst, wskew, wconst) -> StructureForm:
+    """Place the four blocks of a pair at their triples."""
+    data = {"mcubic": mcubic.comps, "mconst": mconst.upper,
+            "wskew": wskew.upper,
+            "wconst": {(i,): b for i, b in enumerate(wconst, start=1)}}
+    comps = {}
+    for t, (block, kept) in layout(N).items():
+        v = data[block].get(kept)
+        if v:
+            comps[t] = v
+    return StructureForm.from_comps(N, comps)
 
 
 def form_from_pair(pair) -> StructureForm:
     """Package a pair's data as its structure form."""
-    N = pair.N
-    mb = homogenize_metric(pair.mcubic, pair.mconst)
-    wb = homogenize_covector(pair.wskew, pair.wconst)
-    big = AltForm(3, N + 2, dict(mb.comps))
-    wbig = AltForm(2, N + 2, dict(wb.comps))
-    last = AltForm.basis(N + 2, (N + 2,))
-    return StructureForm(N, big + wedge(wbig, last))
+    return _assemble(pair.N, pair.mcubic, pair.mconst, pair.wskew,
+                     pair.wconst)
 
 
 def pair_from_form(sf: StructureForm, nvars: int | None = None) -> HamPair:
@@ -164,41 +161,24 @@ def dimension_audit(N: int) -> dict:
     the block sizes must match the binomial counts; the reassembly of a
     fully generic form from its blocks must be the identity.
     """
-    if N % 2 or N < 2:
-        raise OddDimension("field count must be even and positive")
-    counts = {"mcubic": 0, "mconst": 0, "wskew": 0, "wconst": 0}
-    for (i, j, k) in combinations(range(1, N + 3), 3):
-        has_h = N + 1 in (i, j, k)
-        has_t = N + 2 in (i, j, k)
-        if has_h and has_t:
-            counts["wconst"] += 1
-        elif has_t:
-            counts["wskew"] += 1
-        elif has_h:
-            counts["mconst"] += 1
-        else:
-            counts["mcubic"] += 1
+    table = layout(N)
     expected = {
         "mcubic": comb(N, 3),
         "mconst": comb(N, 2),
         "wskew": comb(N, 2),
         "wconst": N,
     }
+    counts = dict.fromkeys(expected, 0)
+    for block, _ in table.values():
+        counts[block] += 1
     total = comb(N + 2, 3)
 
     # reassembly on a dense form with distinct markers per component
-    marker = {}
-    val = 2
-    for idx in combinations(range(1, N + 3), 3):
-        marker[idx] = Fraction(val)
-        val += 1
+    marker = {t: Fraction(val) for val, t in enumerate(table, start=2)}
     sf = StructureForm.from_comps(N, marker)
-    rebuilt_metric = homogenize_metric(sf.mcubic_block(), sf.mconst_block())
-    rebuilt_w = homogenize_covector(sf.wskew_block(), sf.wconst_block())
-    big = AltForm(3, N + 2, dict(rebuilt_metric.comps))
-    wbig = AltForm(2, N + 2, dict(rebuilt_w.comps))
-    last = AltForm.basis(N + 2, (N + 2,))
-    roundtrip = (big + wedge(wbig, last)) == sf.form
+    rebuilt = _assemble(N, sf.mcubic_block(), sf.mconst_block(),
+                        sf.wskew_block(), sf.wconst_block())
+    roundtrip = rebuilt == sf
     split = sf.metric_block(), sf.w_block()
     halves = (
         len(split[0].comps) + len(split[1].comps) == len(sf.form.comps)

@@ -18,48 +18,30 @@ from .errors import (DegenerateMetric, DimensionMismatch, NotInThetaEta,
 from .forms import AltForm, pullback_linear, wedge
 from .linalg import Matrix
 from .pairs import HamPair
-from .poly import Poly, RatFunc
+from .poly import RatFunc
 from .skew import SkewMatrix
 
 TOP4 = (1, 2, 3, 4)
 
 
+def eta_matrix() -> SkewMatrix:
+    """The standard symplectic form du1^du2 + du3^du4 as a skew matrix."""
+    return SkewMatrix(4, {(1, 2): Fraction(1), (3, 4): Fraction(1)})
+
+
 def eta_form() -> AltForm:
     """The standard symplectic two-form on four coordinates."""
-    return AltForm(2, 4, {(1, 2): Fraction(1), (3, 4): Fraction(1)})
-
-
-def eta_matrix() -> SkewMatrix:
-    """The standard symplectic form as a skew matrix."""
-    return SkewMatrix(4, {(1, 2): Fraction(1), (3, 4): Fraction(1)})
+    return eta_matrix().to_form()
 
 
 def eta_gram() -> Matrix:
     """The same form as a dense matrix, for building transvections."""
-    one, zero = Fraction(1), Fraction(0)
-    return Matrix([
-        [zero, one, zero, zero],
-        [-one, zero, zero, zero],
-        [zero, zero, zero, one],
-        [zero, zero, -one, zero],
-    ])
+    return eta_matrix().to_matrix()
 
 
 def t4_form() -> AltForm:
     """The standard three-form eta ^ du5 on five coordinates."""
     return AltForm(3, 5, {(1, 2, 5): Fraction(1), (3, 4, 5): Fraction(1)})
-
-
-def skew_as_form(s: SkewMatrix) -> AltForm:
-    """A skew matrix read as the two-form sum s_ij du^i ^ du^j (i<j)."""
-    return AltForm(2, s.dim, dict(s.upper))
-
-
-def form_as_skew(a: AltForm) -> SkewMatrix:
-    """The inverse reading; the form must have degree two."""
-    if a.degree != 2:
-        raise DimensionMismatch("expected a two-form")
-    return SkewMatrix(a.dim, dict(a.comps))
 
 
 class SymplecticSplit:
@@ -102,7 +84,7 @@ def symplectic_split(a) -> SymplecticSplit:
     construction.  Accepts an AltForm or a SkewMatrix.
     """
     if isinstance(a, SkewMatrix):
-        a = skew_as_form(a)
+        a = a.to_form()
     if a.degree != 2 or a.dim != 4:
         raise DimensionMismatch("splitting needs a two-form on four coordinates")
     eta = eta_form()
@@ -121,7 +103,7 @@ def q_form(theta):
     Pfaffian of theta read as a skew matrix.
     """
     if isinstance(theta, SkewMatrix):
-        theta = skew_as_form(theta)
+        theta = theta.to_form()
     if theta.degree != 2 or theta.dim != 4:
         raise DimensionMismatch("the quadric takes a two-form on four coordinates")
     trace = wedge(eta_form(), theta)
@@ -286,7 +268,7 @@ def classify_n4(sf: StructureForm) -> ClassificationResult:
         raise DimensionMismatch("four-field classification needs N=4")
     if not sf.metric_block() == t4_form():
         raise WrongTBlock("cubic block is not in the standard position")
-    a = skew_as_form(sf.wskew_block())
+    a = sf.wskew_block().to_form()
     split = symplectic_split(a)
     q = q_form(split.theta)
     theta13 = -q / 2
@@ -312,10 +294,7 @@ def sp4_basis() -> list:
     comes from the elementary symmetric matrices.
     """
     one, zero = Fraction(1), Fraction(0)
-    j = [[zero] * 4 for _ in range(4)]
-    j[0][1], j[1][0] = one, -one
-    j[2][3], j[3][2] = one, -one
-    jm = Matrix(j)
+    jm = eta_gram()
     out = []
     for (r, c) in [(1, 1), (2, 2), (3, 3), (4, 4),
                    (1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)]:
@@ -327,8 +306,8 @@ def sp4_basis() -> list:
 
 
 def _t4_sym() -> AltForm:
-    one = RatFunc.from_const(1, 1)
-    return AltForm(3, 5, {(1, 2, 5): one, (3, 4, 5): one})
+    """t4_form with coefficients in the ring of one formal parameter."""
+    return t4_form().map_coeffs(lambda c: RatFunc.from_const(1, c))
 
 
 def _first_order_preserves(x5: Matrix) -> bool:
@@ -392,7 +371,7 @@ def stabilizer_audit() -> dict:
     def ident():
         return [[one if i == k else zero for k in range(5)] for i in range(5)]
 
-    t4 = AltForm(3, 5, {(1, 2, 5): one, (3, 4, 5): one})
+    t4 = _t4_sym()
     rows = ident()
     rows[0][1] = c  # transvection along the first coordinate pair
     exact_sympl = pullback_linear(t4, Matrix(rows)) == t4

@@ -13,7 +13,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations
 
-from .bridge import StructureForm
+from .bridge import StructureForm, form_from_pair
 from .errors import DimensionMismatch, PoleError
 from .forms import contract_bivector
 from .linalg import Matrix, rank_and_left_nullvector
@@ -27,20 +27,32 @@ def pair_columns(dim: int) -> list:
     return list(combinations(range(1, dim + 1), 2))
 
 
+def _line_minors(p, q) -> dict:
+    """Pluecker coordinates p^{ab} = p_a q_b - p_b q_a (a < b, 1-based)
+    of the line through the points p and q; zero minors are left out."""
+    out = {}
+    for a, b in combinations(range(len(p)), 2):
+        c = p[a] * q[b] - p[b] * q[a]
+        if c:
+            out[(a + 1, b + 1)] = c
+    return out
+
+
 def plucker_coords(pair, point=None) -> dict:
     """Pluecker coordinates of the line at u, keyed by increasing pairs.
 
     With point=None the coordinates are rational functions of the
     fields, built from the reduced flux; with a point they are rationals,
     evaluated from the cleared flux, and the metric pfaffian must not
-    vanish there (PoleError).  Blocks: p^{kl} = u^k V^l - u^l V^k for
-    field indices, p^{k,N+1} = -V^k, p^{k,N+2} = u^k, p^{N+1,N+2} = 1.
+    vanish there (PoleError).  The line runs through (u, 1, 0) and
+    (V, 0, 1), so p^{kl} = u^k V^l - u^l V^k for field indices,
+    p^{k,N+1} = -V^k, p^{k,N+2} = u^k and p^{N+1,N+2} = 1.
     """
     N, nvars = pair.N, pair.nvars
     if point is None:
         uu = [RatFunc.var(nvars, i) for i in range(1, N + 1)]
         vv = list(pair.flux)
-        one = RatFunc.from_const(nvars, 1)
+        one, zero = RatFunc.from_const(nvars, 1), RatFunc.from_const(nvars, 0)
     else:
         if len(point) != nvars:
             raise DimensionMismatch("point length does not match the ring")
@@ -50,20 +62,8 @@ def plucker_coords(pair, point=None) -> dict:
             raise PoleError("metric pfaffian vanishes at the point")
         uu = [Fraction(point[i]) if isinstance(point[i], int) else point[i] for i in range(N)]
         vv = [n.eval(point) / d for n in nums]
-        one = Fraction(1)
-    out = {}
-    for k in range(1, N + 1):
-        for l in range(k + 1, N + 1):
-            c = uu[k - 1] * vv[l - 1] - uu[l - 1] * vv[k - 1]
-            if c:
-                out[(k, l)] = c
-    for k in range(1, N + 1):
-        if vv[k - 1]:
-            out[(k, N + 1)] = -vv[k - 1]
-        if uu[k - 1]:
-            out[(k, N + 2)] = uu[k - 1]
-    out[(N + 1, N + 2)] = one
-    return out
+        one, zero = Fraction(1), Fraction(0)
+    return _line_minors(uu + [one, zero], vv + [zero, one])
 
 
 def plucker_homogeneous(pair, reduce_common: bool = False) -> dict:
@@ -71,37 +71,32 @@ def plucker_homogeneous(pair, reduce_common: bool = False) -> dict:
 
     Works with the homogenizing variable N+1; extra ring variables past
     it are treated as parameters, so a pair living in a larger ring must
-    keep slot N+1 free for the homogenizer.  The two spanning points
-    become (u, u^{N+1}, 0) and (adj(m) w, 0, pf(m)) with m the
-    homogenized metric, making every coordinate a polynomial.  With
-    reduce_common=True each coordinate is divided by the homogenizing
-    variable, which must divide exactly (it does for N=4).
+    keep slot N+1 free for the homogenizer.  The metric m and the
+    covector w are read from the two halves of the pair's structure
+    form, linear in u^1..u^{N+1}.  The two spanning points become
+    (u, u^{N+1}, 0) and (adj(m) w, 0, pf(m)), making every coordinate a
+    polynomial.  With reduce_common=True each coordinate is divided by
+    the homogenizing variable, which must divide exactly (it does for
+    N=4).
     """
-    from .bridge import homogenize_metric
-
     N = pair.N
     nvars = pair.nvars if pair.nvars > N else N + 1
-    mb = homogenize_metric(pair.mcubic, pair.mconst)
-    gh = linear_skew(mb, nvars)
+    sf = form_from_pair(pair)
+    gh = linear_skew(sf.metric_block(), nvars)
     # drop row/column N+1: the metric block of the pair itself
     gblock = SkewMatrix(
         N, {(i, j): v for (i, j), v in gh.upper.items() if j <= N}
     )
     pf = pfaffian(gblock)
     adj = pfaffian_adjugate(gblock)
-    w = _homogeneous_covector(pair, nvars)
+    w = rhs_covector(SkewMatrix.from_form(sf.w_block()), [0] * (N + 1), nvars)
     second = [
         sum((adj.get(i, s) * w[s - 1] for s in range(1, N + 1)), Poly.zero(nvars))
         for i in range(1, N + 1)
     ]
     pvec = [Poly.var(nvars, i) for i in range(1, N + 2)] + [Poly.zero(nvars)]
     qvec = second + [Poly.zero(nvars), pf]
-    out = {}
-    for a in range(1, N + 3):
-        for b in range(a + 1, N + 3):
-            c = pvec[a - 1] * qvec[b - 1] - pvec[b - 1] * qvec[a - 1]
-            if not c.is_zero():
-                out[(a, b)] = c
+    out = _line_minors(pvec, qvec)
     if reduce_common:
         h = Poly.var(nvars, N + 1)
         reduced = {}
@@ -110,21 +105,6 @@ def plucker_homogeneous(pair, reduce_common: bool = False) -> dict:
                 raise ValueError("coordinate %r lacks the common factor" % (key,))
             reduced[key] = exact_div(c, h)
         out = reduced
-    return out
-
-
-def _homogeneous_covector(pair, nvars: int) -> list:
-    # w_j = sum_l wskew_jl u^l + wconst_j u^{N+1}
-    N = pair.N
-    base = rhs_covector(pair.wskew, [0] * N, nvars)
-    h = Poly.var(nvars, N + 1)
-    out = []
-    for j in range(1, N + 1):
-        b = pair.wconst[j - 1]
-        term = base[j - 1]
-        if b:
-            term = term + h * b
-        out.append(term)
     return out
 
 

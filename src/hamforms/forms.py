@@ -14,7 +14,7 @@ from itertools import combinations
 
 from .errors import DimensionMismatch
 from .linalg import Matrix
-from .poly import Poly, RatFunc, as_fraction
+from .poly import Poly, RatFunc
 
 
 def perm_sign(seq) -> int:
@@ -67,10 +67,6 @@ class AltForm:
                 prev = clean.get(key)
                 clean[key] = c if prev is None else prev + c
         self.comps = {k: v for k, v in clean.items() if v}
-
-    @classmethod
-    def zero(cls, degree: int, dim: int) -> "AltForm":
-        return cls(degree, dim)
 
     @classmethod
     def basis(cls, dim: int, idx) -> "AltForm":

@@ -78,52 +78,35 @@ class Matrix:
         return tuple(_dot(r, vec) for r in self.rows)
 
     def det(self):
-        """Determinant by fraction-friendly Gaussian elimination."""
+        """Determinant: the product of the pivots of `_eliminate`."""
         n = self.nrows
         if n != self.ncols:
             raise ValueError("determinant of a non-square matrix")
-        a = [list(r) for r in self.rows]
+        a, rank, sign = _eliminate(self.rows, n)
+        if rank < n:
+            return _zero_like(self.rows[0][0])
         det = Fraction(1)
-        sign = 1
-        for col in range(n):
-            piv = None
-            for r in range(col, n):
-                if a[r][col]:
-                    piv = r
-                    break
-            if piv is None:
-                return _zero_like(self.rows[0][0])
-            if piv != col:
-                a[col], a[piv] = a[piv], a[col]
-                sign = -sign
-            p = a[col][col]
-            det = det * p
-            inv = _inv_scalar(p)
-            for r in range(col + 1, n):
-                if a[r][col]:
-                    f = a[r][col] * inv
-                    a[r] = [x - f * y for x, y in zip(a[r], a[col])]
+        for i in range(n):
+            det = det * a[i][i]
         return det * sign
 
     def inv(self) -> "Matrix":
-        """Exact inverse; raises SingularMatrix if not invertible."""
+        """Exact inverse; raises SingularMatrix if not invertible.
+
+        Eliminates on the matrix with the identity appended, then
+        back-substitutes from the last pivot up.
+        """
         n = self.nrows
         if n != self.ncols:
             raise ValueError("inverse of a non-square matrix")
-        a = [list(r) + [Fraction(i == j) for j in range(n)] for i, r in enumerate(self.rows)]
-        for col in range(n):
-            piv = None
-            for r in range(col, n):
-                if a[r][col]:
-                    piv = r
-                    break
-            if piv is None:
-                raise SingularMatrix("matrix is not invertible")
-            a[col], a[piv] = a[piv], a[col]
+        a, rank, _ = _eliminate(_with_identity(self.rows), n)
+        if rank < n:
+            raise SingularMatrix("matrix is not invertible")
+        for col in reversed(range(n)):
             inv = _inv_scalar(a[col][col])
             a[col] = [x * inv for x in a[col]]
-            for r in range(n):
-                if r != col and a[r][col]:
+            for r in range(col):
+                if a[r][col]:
                     f = a[r][col]
                     a[r] = [x - f * y for x, y in zip(a[r], a[col])]
         return Matrix([row[n:] for row in a])
@@ -152,41 +135,51 @@ def _inv_scalar(x):
     return Fraction(1) / Fraction(x)
 
 
+def _with_identity(rows) -> list:
+    """Each row with the matching row of the identity appended."""
+    n = len(rows)
+    return [list(r) + [Fraction(i == j) for j in range(n)]
+            for i, r in enumerate(rows)]
+
+
+def _eliminate(rows, ncols: int) -> tuple:
+    """Forward Gaussian elimination over the first ncols columns.
+
+    Returns (a, rank, sign): the rows in echelon form, the number of
+    pivots, and the sign of the row swaps.  Each pivot is the first
+    nonzero entry at or below the current row; the rows below it are
+    reduced by division-based multipliers, and columns without a pivot
+    are skipped, so a rank-deficient matrix ends in zero rows.
+    Elimination is exact over the entry field.
+    """
+    a = [list(r) for r in rows]
+    n = len(a)
+    rank, sign = 0, 1
+    for col in range(ncols):
+        if rank == n:
+            break
+        piv = next((r for r in range(rank, n) if a[r][col]), None)
+        if piv is None:
+            continue
+        if piv != rank:
+            a[rank], a[piv] = a[piv], a[rank]
+            sign = -sign
+        inv = _inv_scalar(a[rank][col])
+        for r in range(rank + 1, n):
+            if a[r][col]:
+                f = a[r][col] * inv
+                a[r] = [x - f * y for x, y in zip(a[r], a[rank])]
+        rank += 1
+    return a, rank, sign
+
+
 def rank_and_left_nullvector(m: Matrix):
     """Rank of m, plus one nonzero left null vector when the rows are
     dependent (coefficients c with c . rows == 0), else None.
 
-    Elimination is exact over the entry field.
+    The vector is the identity part of the first zero row left by
+    eliminating on m with the identity appended.
     """
     nr, nc = m.nrows, m.ncols
-    # carry an identity alongside to track row operations
-    a = [list(r) for r in m.rows]
-    ops = [[Fraction(i == j) for j in range(nr)] for i in range(nr)]
-    rank = 0
-    for col in range(nc):
-        piv = None
-        for r in range(rank, nr):
-            if a[r][col]:
-                piv = r
-                break
-        if piv is None:
-            continue
-        a[rank], a[piv] = a[piv], a[rank]
-        ops[rank], ops[piv] = ops[piv], ops[rank]
-        inv = _inv_scalar(a[rank][col])
-        a[rank] = [x * inv for x in a[rank]]
-        ops[rank] = [x * inv for x in ops[rank]]
-        for r in range(nr):
-            if r != rank and a[r][col]:
-                f = a[r][col]
-                a[r] = [x - f * y for x, y in zip(a[r], a[rank])]
-                ops[r] = [x - f * y for x, y in zip(ops[r], ops[rank])]
-        rank += 1
-        if rank == nr:
-            break
-    null = None
-    for r in range(nr):
-        if r >= rank:
-            null = tuple(ops[r])
-            break
-    return rank, null
+    a, rank, _ = _eliminate(_with_identity(m.rows), nc)
+    return rank, (tuple(a[rank][nc:]) if rank < nr else None)

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import warnings
 from fractions import Fraction
+from functools import cache
 
 from .errors import DegenerateMetric, DimensionMismatch, OddDimension
 from .errors import NoResidue, NullSystemWarning
@@ -464,33 +465,26 @@ def check_compat(pair, mode: str = "auto", samples: int = 20, seed: int = _DEFAU
         g[(i, j)] = conv(v)
         g[(j, i)] = g[(i, j)] * Fraction(-1)
 
-    d1_cache = {}
-
+    @cache
     def d1(k, l):
         # numerator of V^k_{,l} over P^2; k and l are 1-based
-        key = (k, l)
-        r = d1_cache.get(key)
-        if r is None:
-            r = d_num[k - 1][l - 1] * P - nums[k - 1] * dP[l - 1]
-            d1_cache[key] = r
-        return r
+        return d_num[k - 1][l - 1] * P - nums[k - 1] * dP[l - 1]
 
-    d2_cache = {}
+    @cache
+    def d1P(k, l):
+        # d1(k, l) * P, formed once for the second-order identities
+        return d1(k, l) * P
 
+    @cache
     def d2(k, p, l):
         # numerator of V^k_{,pl} over P^3; all indices 1-based
-        key = (k, p, l)
-        r = d2_cache.get(key)
-        if r is None:
-            lead = (
-                dd_num[k - 1][p - 1][l - 1] * P
-                + d_num[k - 1][p - 1] * dP[l - 1]
-                - d_num[k - 1][l - 1] * dP[p - 1]
-                - nums[k - 1] * ddP[p - 1][l - 1]
-            )
-            r = lead * P - (dP[l - 1] * d1(k, p)) * 2
-            d2_cache[key] = r
-        return r
+        lead = (
+            dd_num[k - 1][p - 1][l - 1] * P
+            + d_num[k - 1][p - 1] * dP[l - 1]
+            - d_num[k - 1][l - 1] * dP[p - 1]
+            - nums[k - 1] * ddP[p - 1][l - 1]
+        )
+        return lead * P - (dP[l - 1] * d1(k, p)) * 2
 
     def report(acc):
         if mode == "symbolic":
@@ -512,19 +506,13 @@ def check_compat(pair, mode: str = "auto", samples: int = 20, seed: int = _DEFAU
             if acc:
                 first[(p, q)] = report(acc)
 
-    cubic_cache = {}
-
+    @cache
     def cubic_coeff(i, j, k):
         # metric derivative coefficients; a Poly when they involve parameters
-        key = (i, j, k)
-        if key not in cubic_cache:
-            c = pair.mcubic.get(i, j, k)
-            if not c:
-                c = None
-            elif isinstance(c, Poly):
-                c = conv(c)
-            cubic_cache[key] = c
-        return cubic_cache[key]
+        c = pair.mcubic.get(i, j, k)
+        if not c:
+            return None
+        return conv(c) if isinstance(c, Poly) else c
 
     second = {}
     for q in range(1, N + 1):
@@ -537,10 +525,10 @@ def check_compat(pair, mode: str = "auto", samples: int = 20, seed: int = _DEFAU
                         acc = acc + a * d2(k, p, l)
                     c1 = cubic_coeff(p, q, k)
                     if c1 is not None:
-                        acc = acc + (d1(k, l) * P) * c1
+                        acc = acc + d1P(k, l) * c1
                     c2 = cubic_coeff(q, k, l)
                     if c2 is not None:
-                        acc = acc + (d1(k, p) * P) * c2
+                        acc = acc + d1P(k, p) * c2
                 if acc:
                     second[(q, p, l)] = report(acc)
 

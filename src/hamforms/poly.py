@@ -268,19 +268,6 @@ class Poly:
             return Fraction(0)
         return total
 
-    def set_var_one(self, var: int) -> "Poly":
-        """Substitute 1 for variable `var`, keeping the ring width."""
-        i = var - 1
-        terms: dict = {}
-        for e, c in self.terms.items():
-            e2 = e[:i] + (0,) + e[i + 1:]
-            s = terms.get(e2, Fraction(0)) + c
-            if s:
-                terms[e2] = s
-            else:
-                terms.pop(e2, None)
-        return Poly(self.num_vars, terms)
-
     # -- normal forms ---------------------------------------------------
 
     def content_unit(self):
@@ -381,16 +368,6 @@ def _coeffs_in_var(f: Poly, var: int):
         g = out.setdefault(k, {})
         g[e2] = g.get(e2, Fraction(0)) + c
     return {k: Poly(f.num_vars, t) for k, t in out.items()}
-
-
-def _from_coeffs(num_vars: int, var: int, coeffs) -> Poly:
-    i = var - 1
-    terms: dict = {}
-    for k, p in coeffs.items():
-        for e, c in p.terms.items():
-            e2 = e[:i] + (k,) + e[i + 1:]
-            terms[e2] = c
-    return Poly(num_vars, terms)
 
 
 def _prem(f: Poly, g: Poly, var: int) -> Poly:
@@ -647,9 +624,6 @@ class RatFunc:
         if isinstance(d, Poly):
             d = RatFunc(d, reduce=False)
         return n / d
-
-    def set_var_one(self, var: int) -> "RatFunc":
-        return RatFunc(self.num.set_var_one(var), self.den.set_var_one(var))
 
     # -- presentation ----------------------------------------------------
 

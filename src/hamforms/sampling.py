@@ -48,9 +48,6 @@ class Lcg:
             if f:
                 return f
 
-    def choice(self, seq):
-        return seq[self.randint(0, len(seq) - 1)]
-
 
 def sample_point(rng: Lcg, nvars: int, max_num: int = 7, max_den: int = 3) -> tuple:
     return tuple(rng.fraction(max_num, max_den) for _ in range(nvars))

@@ -19,7 +19,6 @@ from .errors import ParseError, ValidationError
 from .forms import AltForm
 from .poly import Poly, RatFunc
 from .skew import SkewMatrix
-from .classify import skew_as_form, form_as_skew
 from .pairs import HamPair
 from .bridge import StructureForm
 
@@ -144,8 +143,8 @@ def pair_to_dict(pair: HamPair) -> dict:
     return {
         "N": n,
         "T": form_to_dict(pair.mcubic),
-        "g0": form_to_dict(skew_as_form(pair.mconst)),
-        "A": form_to_dict(skew_as_form(pair.wskew)),
+        "g0": form_to_dict(pair.mconst.to_form()),
+        "A": form_to_dict(pair.wskew.to_form()),
         "B": [rational_to_str(b) for b in pair.wconst],
     }
 
@@ -158,10 +157,10 @@ def pair_from_dict(d, where: str = "pair") -> HamPair:
         raise ParseError("%s: unknown keys %s" % (where, sorted(extra)))
     n = _expect_even_n(d, where)
     mcubic = form_from_dict(d.get("T"), where + ".T", degree=3, dim=n)
-    mconst = form_as_skew(form_from_dict(d.get("g0"), where + ".g0",
-                                         degree=2, dim=n))
-    wskew = form_as_skew(form_from_dict(d.get("A"), where + ".A",
-                                        degree=2, dim=n))
+    mconst = SkewMatrix.from_form(form_from_dict(d.get("g0"), where + ".g0",
+                                                 degree=2, dim=n))
+    wskew = SkewMatrix.from_form(form_from_dict(d.get("A"), where + ".A",
+                                                degree=2, dim=n))
     b = d.get("B")
     if not isinstance(b, list):
         raise ParseError("%s.B: expected a list" % where)

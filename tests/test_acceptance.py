@@ -37,7 +37,6 @@ from hamforms import (
     congruence_rank,
     dimension_audit,
     eta_matrix,
-    form_as_skew,
     form_from_pair,
     format_system,
     grassmann_check,
@@ -50,7 +49,6 @@ from hamforms import (
     pullback_linear,
     q_form,
     sign_normalize_rows,
-    skew_as_form,
     stabilizer_audit,
     symplectic_split,
 )
@@ -450,12 +448,12 @@ def test_criterion_10_quadratic_invariant():
     rng = Lcg(1001)
     for _ in range(50):
         raw = random_skew(rng, 4, max_num=9)
-        theta = symplectic_split(skew_as_form(raw)).theta
-        assert q_form(theta) == 2 * pfaffian(form_as_skew(theta))
+        theta = symplectic_split(raw.to_form()).theta
+        assert q_form(theta) == 2 * pfaffian(SkewMatrix.from_form(theta))
     jm = eta_gram()
     for _ in range(20):
         raw = random_skew(rng, 4, max_num=7)
-        theta = symplectic_split(skew_as_form(raw)).theta
+        theta = symplectic_split(raw.to_form()).theta
         cmat = random_symplectic(rng, jm)
         assert q_form(pullback_linear(theta, cmat)) == q_form(theta)
 

@@ -15,8 +15,6 @@ from hamforms import (
     StructureForm,
     dimension_audit,
     form_from_pair,
-    homogenize_covector,
-    homogenize_metric,
     pair_from_form,
 )
 
@@ -61,7 +59,7 @@ def test_block_placement():
 
 def test_homogenize_metric_at_one_is_affine():
     pair = generic_pair_n4()
-    hom = homogenize_metric(pair.mcubic, pair.mconst)
+    hom = form_from_pair(pair).metric_block()
     n = pair.N
     # every slice of the homogenized form matches the block it came from
     for i in range(1, n + 1):
@@ -74,8 +72,10 @@ def test_homogenize_metric_at_one_is_affine():
 
 
 def test_homogenize_covector():
-    w = homogenize_covector(
-        SkewMatrix(2, {(1, 2): Fraction(3)}), (Fraction(4), Fraction(0)))
+    w = form_from_pair(HamPair(
+        AltForm(3, 2), SkewMatrix(2, {(1, 2): Fraction(1)}),
+        SkewMatrix(2, {(1, 2): Fraction(3)}), (Fraction(4), Fraction(0)),
+    )).w_block()
     assert w.get(1, 2) == 3 and w.get(1, 3) == 4 and w.get(2, 3) == 0
 
 

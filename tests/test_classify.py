@@ -23,12 +23,10 @@ from hamforms import (
     classify_n4,
     eta_form,
     eta_matrix,
-    form_as_skew,
     form_from_pair,
     format_system,
     pullback_linear,
     q_form,
-    skew_as_form,
     stabilizer_audit,
     symplectic_split,
 )
@@ -68,24 +66,24 @@ def test_q_is_twice_pfaffian():
     rng = Lcg(424242)
     for _ in range(25):
         raw = random_skew(rng, 4, max_num=9)
-        th = symplectic_split(skew_as_form(raw)).theta
+        th = symplectic_split(raw.to_form()).theta
         qv = q_form(th)
         t0, t13, t14 = th.get(1, 2), th.get(1, 3), th.get(1, 4)
         t23, t24 = th.get(2, 3), th.get(2, 4)
         assert qv == -2 * t0 * t0 - 2 * t13 * t24 + 2 * t14 * t23
-        assert qv == 2 * pfaffian(form_as_skew(th))
+        assert qv == 2 * pfaffian(SkewMatrix.from_form(th))
 
 
 def test_q_rejects_outside_domain():
     with pytest.raises(NotInThetaEta):
-        q_form(skew_as_form(SkewMatrix(4, {(1, 2): Fraction(1)})))
+        q_form(SkewMatrix(4, {(1, 2): Fraction(1)}).to_form())
 
 
 def test_q_invariant_under_symplectic_pullback():
     rng = Lcg(424243)
     for _ in range(10):
         raw = random_skew(rng, 4, max_num=7)
-        th = symplectic_split(skew_as_form(raw)).theta
+        th = symplectic_split(raw.to_form()).theta
         cmat = random_symplectic(rng, eta_gram())
         assert q_form(pullback_linear(th, cmat)) == q_form(th)
 
@@ -186,7 +184,7 @@ def test_invariants_stable_under_symplectic_change():
         p0 = HamPair(AltForm(3, 4), j4, raw, b)
         r0 = classify_n4(form_from_pair(p0))
         cmat = random_symplectic(rng, eta_gram())
-        pulled = form_as_skew(pullback_linear(skew_as_form(raw), cmat))
+        pulled = SkewMatrix.from_form(pullback_linear(raw.to_form(), cmat))
         p1 = HamPair(AltForm(3, 4), j4, pulled, b)
         r1 = classify_n4(form_from_pair(p1))
         assert r0.invariants == r1.invariants

@@ -1,0 +1,74 @@
+"""Golden CLI outputs: JSON stdout on a fixed input corpus, byte for byte.
+
+The inputs and the recorded outputs live in tests/golden/.  Every case
+runs the command line in process from that directory, so the file names
+a report echoes are the same on every machine.  After a deliberate
+output change, rewrite the recordings with
+
+    PYTHONPATH=src python tests/test_golden.py
+
+and review the diff of tests/golden/out/.
+"""
+
+import io
+import os
+import sys
+from contextlib import redirect_stdout
+
+import pytest
+
+from hamforms.cli import main
+
+GOLDEN_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                          "golden")
+
+CASES = {
+    "audit": ["audit"],
+    "n6.compose": ["compose", "--pair", "n6_pair.json"],
+}
+for _n in (2, 4):
+    _pair = "n%d_pair.json" % _n
+    CASES.update({
+        "n%d.compose" % _n: ["compose", "--pair", _pair],
+        "n%d.decompose" % _n: ["decompose",
+                               "--omega", "out/n%d.compose.json" % _n],
+        "n%d.congruence" % _n: ["congruence", "--pair", _pair,
+                                "--symbolic", "--table"],
+        "n%d.projective" % _n: ["transform", "--pair", _pair,
+                                "--projective", "n%d_projective.json" % _n],
+        "n%d.xt" % _n: ["transform", "--pair", _pair, "--xt"],
+        "n%d.reciprocal" % _n: ["transform", "--pair", _pair,
+                                "--reciprocal", "n%d_reciprocal.json" % _n],
+    })
+
+
+def _run(argv):
+    buf = io.StringIO()
+    with redirect_stdout(buf):
+        code = main(argv + ["--format", "json"])
+    return code, buf.getvalue()
+
+
+def _path(name):
+    return os.path.join(GOLDEN_DIR, "out", name + ".json")
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_golden_output(name, monkeypatch):
+    monkeypatch.chdir(GOLDEN_DIR)
+    code, out = _run(CASES[name])
+    assert code == 0
+    with open(_path(name), encoding="utf-8") as fp:
+        assert out == fp.read()
+
+
+if __name__ == "__main__":
+    os.chdir(GOLDEN_DIR)
+    os.makedirs("out", exist_ok=True)
+    # compose first: the decompose cases read its recordings
+    for name in sorted(CASES, key=lambda n: "decompose" in n):
+        code, out = _run(CASES[name])
+        if code != 0:
+            sys.exit("%s exited %d" % (name, code))
+        with open(_path(name), "w", encoding="utf-8") as fp:
+            fp.write(out)

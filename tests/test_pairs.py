@@ -238,6 +238,28 @@ def test_check_differentiates_only_in_field_directions(monkeypatch):
         assert max(calls) <= n
 
 
+def test_check_forms_each_first_derivative_product_once(monkeypatch):
+    pair = HamPair.random(Lcg(3), 4)
+    n = pair.N
+    nums, P = pair.flux_cleared()
+    # d1(k, l) = n^k_{,l} P - n^k P_{,l}, the numerator of V^k_{,l}
+    d1 = {(k, l): nums[k].diff(l + 1) * P - nums[k] * P.diff(l + 1)
+          for k in range(n) for l in range(n)}
+    assert len(set(d1.values())) == len(d1)
+    real = Poly.__mul__
+    formed = []
+
+    def counted(self, other):
+        if other is P:
+            formed.append(self)
+        return real(self, other)
+
+    monkeypatch.setattr(Poly, "__mul__", counted)
+    assert check_compat(pair, mode="symbolic")["all_zero"]
+    for key, value in d1.items():
+        assert sum(x == value for x in formed) <= 1, key
+
+
 @pytest.mark.parametrize("n, k, m", [(2, 1, 2), (4, 2, 3), (6, 1, 4)])
 def test_sampled_check_catches_a_perturbed_flux(n, k, m):
     pair = HamPair.random(Lcg(40 + n), n)

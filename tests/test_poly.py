@@ -90,12 +90,6 @@ def test_compose_matches_eval():
         assert comp.eval(x) == p.eval(tuple(v.eval(x) for v in vals))
 
 
-def test_set_var_one():
-    p = Poly(2, {(2, 1): Fraction(5), (0, 1): Fraction(1)})
-    q = p.set_var_one(2)
-    assert q == Poly(2, {(2, 0): Fraction(5), (0, 0): Fraction(1)})
-
-
 def test_exact_division_roundtrip():
     rng = Lcg(505)
     for _ in range(15):
