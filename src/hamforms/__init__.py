@@ -29,7 +29,7 @@ from .bridge import (
 from .congruence import (
     plucker_coords, plucker_homogeneous, grassmann_check,
     congruence_matrix, congruence_rank, annihilation_check,
-    pair_columns, sign_normalize_rows,
+    congruence_checks, pair_columns, sign_normalize_rows,
 )
 from .classify import (
     SymplecticSplit, ClassificationResult, symplectic_split, q_form,
@@ -64,7 +64,7 @@ __all__ = [
     "dimension_audit",
     "plucker_coords", "plucker_homogeneous", "grassmann_check",
     "congruence_matrix", "congruence_rank", "annihilation_check",
-    "pair_columns", "sign_normalize_rows",
+    "congruence_checks", "pair_columns", "sign_normalize_rows",
     "SymplecticSplit", "ClassificationResult", "symplectic_split",
     "q_form", "classify_n2", "classify_n4", "canonical_n2_pair",
     "canonical_n4_pair", "canonical_form_n2", "eta_form", "eta_matrix",

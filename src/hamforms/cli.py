@@ -13,10 +13,10 @@ Subcommands:
 Shared flags: --seed <s>, --format text|json|csv, --output <path>.
 verify, congruence and transform also take --symbolic or --sample <n>.
 With neither they follow the library's "auto" rule: symbolic for N <= 4,
-sampled at 20 points above.  verify and transform --reciprocal sample
-residues modulo the prime 2^61-1 and record the Schwartz-Zippel bound
-of the run in the "mode" object; congruence samples rational points.
-The other commands only run symbolic checks and reject --sample.
+sampled at 20 points above.  Sampled checks evaluate at residues modulo
+the prime 2^61-1 and record the Schwartz-Zippel bound of the run in the
+"mode" object.  The other commands only run symbolic checks and reject
+--sample.
 
 Exit codes: 0 all checks pass, 1 a verification check fails, 2 input or
 usage error.  Output is deterministic for fixed inputs and seed: JSON
@@ -38,13 +38,12 @@ from .errors import HamformsError, ValidationError
 from .linalg import Matrix
 from .pairs import auto_mode, check_compat
 from .bridge import form_from_pair, pair_from_form, dimension_audit
-from .congruence import (pair_columns, plucker_coords, plucker_homogeneous,
+from .congruence import (pair_columns, plucker_homogeneous,
                          congruence_matrix, congruence_rank,
-                         annihilation_check, grassmann_check)
+                         congruence_checks)
 from .classify import classify_n2, classify_n4, stabilizer_audit, format_system
 from .transforms import (ProjectiveMap, ReciprocalMap, apply_projective,
                          apply_xt_exchange, apply_reciprocal)
-from .sampling import Lcg, sample_point
 from .serialize import (rational_to_str, rational_from_str, load_json,
                         dump_json, pair_from_dict, pair_to_dict,
                         omega_from_dict, omega_to_dict)
@@ -92,8 +91,8 @@ def _bound_str(b: Fraction) -> str:
 
 
 def _add_bound(mode, rep, lines) -> None:
-    """Record the bound of a sampled check_compat report `rep` in the mode
-    object and as one text line."""
+    """Record the bound of a sampled check report `rep` in the mode object
+    and as one text line."""
     if mode["kind"] != "sampled":
         return
     mode.update(modulus=rep["modulus"], degree=rep["degree"],
@@ -174,27 +173,13 @@ def _omega_text(sf) -> list:
     return lines
 
 
-def _pair_points(pair, samples, seed) -> list:
-    """Sample points of the field space where the metric stays invertible."""
-    rng = Lcg(seed)
-    pf = pair.pf()
-    points = []
-    while len(points) < samples:
-        x = sample_point(rng, pair.nvars)
-        if pf.eval(x):
-            points.append(x)
-    return points
-
-
 # -- subcommands -------------------------------------------------------
 
 def cmd_compose(args) -> int:
     pair = pair_from_dict(load_json(args.pair), where=args.pair)
     sf = form_from_pair(pair)
     back = pair_from_form(sf)
-    ok = (back.mcubic == pair.mcubic and back.mconst == pair.mconst
-          and back.wskew == pair.wskew
-          and tuple(back.wconst) == tuple(pair.wconst))
+    ok = back == pair
     payload = omega_to_dict(sf)
     lines = _omega_text(sf)
     lines.append("round trip through the block decomposition: %s"
@@ -303,36 +288,17 @@ def cmd_congruence(args) -> int:
     rank_info = congruence_rank(sf)
     mode = _mode_of(args, pair.N)
 
-    checks = []
-    if mode["kind"] == "symbolic":
-        p = plucker_homogeneous(pair)
-        ann = annihilation_check(sf, p)
-        gr = grassmann_check(p, dim)
-        checks.append(_check("annihilation of the line coordinates",
-                             ann["ok"], "symbolic",
-                             _residual_json(ann["residuals"], "symbolic")))
-        checks.append(_check("quadric relations of the line coordinates",
-                             gr["ok"], "symbolic",
-                             _residual_json(gr["residuals"], "symbolic")))
-    else:
-        points = _pair_points(pair, mode["samples"], mode["seed"])
-        bad_ann, bad_gr = {}, {}
-        for t, x in enumerate(points):
-            p = plucker_coords(pair, x)
-            ann = annihilation_check(sf, p)
-            gr = grassmann_check(p, dim)
-            for key, v in ann["residuals"].items():
-                bad_ann["point%d,%s" % (t, key)] = v
-            for key, v in gr["residuals"].items():
-                bad_gr["point%d,%s" % (t, ",".join(map(str, key)))] = v
-        checks.append(_check("annihilation of the line coordinates "
-                             "(%d points)" % len(points),
-                             not bad_ann, "sampled",
-                             _residual_json(bad_ann, "sampled")))
-        checks.append(_check("quadric relations of the line coordinates "
-                             "(%d points)" % len(points),
-                             not bad_gr, "sampled",
-                             _residual_json(bad_gr, "sampled")))
+    rep = congruence_checks(sf, plucker_homogeneous(pair), mode["kind"],
+                            mode["samples"] or _DEFAULT_SAMPLES, mode["seed"])
+    suffix = " (%d points)" % rep["points"] if "points" in rep else ""
+    checks = [
+        _check("annihilation of the line coordinates" + suffix,
+               not rep["annihilation"], rep["mode"],
+               _residual_json(rep["annihilation"], rep["mode"])),
+        _check("quadric relations of the line coordinates" + suffix,
+               not rep["quadrics"], rep["mode"],
+               _residual_json(rep["quadrics"], rep["mode"])),
+    ]
 
     cols = pair_columns(dim)
     table = {
@@ -363,6 +329,7 @@ def cmd_congruence(args) -> int:
     if rank_payload["certificate"] is not None:
         lines.append("certificate: (%s)"
                      % ", ".join(rank_payload["certificate"]))
+    _add_bound(mode, rep, lines)
     for c in checks:
         lines.append("%s: %s" % (c["name"], c["status"]))
 
@@ -467,11 +434,8 @@ def cmd_transform(args) -> int:
     elif args.xt:
         new_pair = apply_xt_exchange(pair)
         twice = apply_xt_exchange(new_pair)
-        ok = (twice.mcubic == pair.mcubic and twice.mconst == pair.mconst
-              and twice.wskew == pair.wskew
-              and tuple(twice.wconst) == tuple(pair.wconst))
         checks.append(_check("applying the exchange twice returns the "
-                             "original pair", ok, "symbolic"))
+                             "original pair", twice == pair, "symbolic"))
         extra = {"kind": "xt"}
     else:
         inputs["reciprocal"] = args.reciprocal
@@ -545,10 +509,8 @@ def _add_sampling(sp) -> None:
                        help="prove checks as exact identities (default for "
                             "N <= 4 fields)")
     group.add_argument("--sample", type=int, metavar="N", default=None,
-                       help="evaluate checks at N random points (default "
-                            "20 for N > 4 fields): residues modulo 2^61-1 "
-                            "for verify and transform, rational points for "
-                            "congruence")
+                       help="evaluate checks at N random points, residues "
+                            "modulo 2^61-1 (default 20 for N > 4 fields)")
 
 
 def _add_common(sp) -> None:

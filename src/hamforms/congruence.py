@@ -13,13 +13,12 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations
 
-from .bridge import StructureForm, form_from_pair
+from .bridge import StructureForm
 from .errors import DimensionMismatch, PoleError
 from .forms import contract_bivector
 from .linalg import Matrix, rank_and_left_nullvector
-from .pairs import linear_skew, rhs_covector
 from .poly import Poly, RatFunc, exact_div, divides, lift
-from .skew import SkewMatrix, pfaffian, pfaffian_adjugate
+from .sampling import _Vals, _first_failures, _residue_points
 
 
 def pair_columns(dim: int) -> list:
@@ -67,35 +66,30 @@ def plucker_coords(pair, point=None) -> dict:
 
 
 def plucker_homogeneous(pair, reduce_common: bool = False) -> dict:
-    """Polynomial Pluecker coordinates from the homogenized spans.
+    """Polynomial Pluecker coordinates from the pair's cleared flux.
 
     Works with the homogenizing variable N+1; extra ring variables past
     it are treated as parameters, so a pair living in a larger ring must
-    keep slot N+1 free for the homogenizer.  The metric m and the
-    covector w are read from the two halves of the pair's structure
-    form, linear in u^1..u^{N+1}.  The two spanning points become
-    (u, u^{N+1}, 0) and (adj(m) w, 0, pf(m)), making every coordinate a
+    keep slot N+1 free for the homogenizer.  The cached cleared flux,
+    numerators adj(g) w over Pf(g), is homogenized in slot N+1 to degree
+    N/2 (or its field degree, if higher), so the spanning points
+    (u, u^{N+1}, 0) and (hom n, 0, hom Pf) make every coordinate a
     polynomial.  With reduce_common=True each coordinate is divided by
-    the homogenizing variable, which must divide exactly (it does for
-    N=4).
+    the homogenizing variable, which must divide exactly (it does for N=4).
     """
     N = pair.N
     nvars = pair.nvars if pair.nvars > N else N + 1
-    sf = form_from_pair(pair)
-    gh = linear_skew(sf.metric_block(), nvars)
-    # drop row/column N+1: the metric block of the pair itself
-    gblock = SkewMatrix(
-        N, {(i, j): v for (i, j), v in gh.upper.items() if j <= N}
-    )
-    pf = pfaffian(gblock)
-    adj = pfaffian_adjugate(gblock)
-    w = rhs_covector(SkewMatrix.from_form(sf.w_block()), [0] * (N + 1), nvars)
-    second = [
-        sum((adj.get(i, s) * w[s - 1] for s in range(1, N + 1)), Poly.zero(nvars))
-        for i in range(1, N + 1)
-    ]
+    nums, pf = pair.flux_cleared()
+    degree = max([N // 2] + [sum(e[:N]) for q in (*nums, pf) for e in q.terms])
+
+    def hom(q):
+        # each term times the power of u^{N+1} that lifts it to `degree`
+        pad = (0,) * (nvars - q.num_vars)
+        return Poly(nvars, {e[:N] + (degree - sum(e[:N]),) + (e + pad)[N + 1:]: c
+                            for e, c in q.terms.items()})
+
     pvec = [Poly.var(nvars, i) for i in range(1, N + 2)] + [Poly.zero(nvars)]
-    qvec = second + [Poly.zero(nvars), pf]
+    qvec = [hom(q) for q in nums] + [Poly.zero(nvars), hom(pf)]
     out = _line_minors(pvec, qvec)
     if reduce_common:
         h = Poly.var(nvars, N + 1)
@@ -112,16 +106,15 @@ def grassmann_check(p: dict, dim: int) -> dict:
     """Three-term quadric relations over all 4-subsets of indices.
 
     p^{ab}p^{cd} - p^{ac}p^{bd} + p^{ad}p^{bc} must vanish for the
-    coordinates to describe an actual line.
+    coordinates to describe an actual line; a missing coordinate is zero
+    and its products are left out.
     """
-
-    def get(a, b):
-        v = p.get((a, b))
-        return v if v is not None else Fraction(0)
-
     bad = {}
     for (a, b, c, d) in combinations(range(1, dim + 1), 4):
-        r = get(a, b) * get(c, d) - get(a, c) * get(b, d) + get(a, d) * get(b, c)
+        terms = [p[x] * p[y] * sign for x, y, sign in (
+            ((a, b), (c, d), 1), ((a, c), (b, d), -1), ((a, d), (b, c), 1))
+            if x in p and y in p]
+        r = sum(terms[1:], terms[0]) if terms else 0
         if r:
             bad[(a, b, c, d)] = r
     return {"residuals": bad, "ok": not bad}
@@ -148,6 +141,42 @@ def annihilation_check(sf: StructureForm, p: dict) -> dict:
     res = contract_bivector(sf.form, p)
     bad = {i + 1: r for i, r in enumerate(res) if r}
     return {"residuals": bad, "ok": not bad}
+
+
+def congruence_checks(sf: StructureForm, p: dict, mode: str, samples: int,
+                      seed: int) -> dict:
+    """Annihilation and quadric checks of the polynomial line coordinates
+    p against the pair's structure form sf, proved symbolically or sampled.
+
+    Sampled mode reduces the coordinates, and any polynomial component of
+    the form, to residues mod 2^61 - 1 at `samples` points where
+    p^{N+1,N+2} does not vanish, adds "modulus", "degree", "points" and
+    "bound" as `check_compat` does, with the residual degree bound
+    d = max deg p^{ab} + max(max deg p^{ab}, degree of the form), and
+    reports a residual as its first failing point and residue there."""
+    dim = sf.N + 2
+    out = {"mode": mode}
+    if mode == "sampled":
+        last = p[(dim - 1, dim)]
+        deg_p = max(c.total_degree() for c in p.values())
+        deg_w = max((c.total_degree() for c in sf.form.comps.values()
+                     if isinstance(c, Poly)), default=0)
+        points, keys = _residue_points(last, deg_p + max(deg_p, deg_w),
+                                       samples, seed)
+        out.update(keys)
+
+        def conv(c):
+            return _Vals.at(c, points) if isinstance(c, Poly) else c
+
+        p = {k: conv(c) for k, c in p.items()}
+        sf = StructureForm(sf.N, sf.form.map_coeffs(conv))
+    elif mode != "symbolic":
+        raise ValueError("mode must be symbolic or sampled")
+    ann = annihilation_check(sf, p)["residuals"]
+    quad = grassmann_check(p, dim)["residuals"]
+    if mode == "sampled":
+        ann, quad = _first_failures(points, ann), _first_failures(points, quad)
+    return dict(out, annihilation=ann, quadrics=quad)
 
 
 def _lead_sign(v) -> int:

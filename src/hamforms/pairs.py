@@ -25,11 +25,12 @@ import warnings
 from fractions import Fraction
 from functools import cache
 
-from .errors import DegenerateMetric, DimensionMismatch, OddDimension
-from .errors import NoResidue, NullSystemWarning
+from .errors import DegenerateMetric, DimensionMismatch, NullSystemWarning
+from .errors import OddDimension
 from .forms import AltForm
 from .poly import Poly, RatFunc, exact_div, poly_gcd
 from .sampling import Lcg, random_skew, random_three_form, random_vector
+from .sampling import _Vals, _first_failures, _residue_points
 from .skew import SkewMatrix, pfaffian, pfaffian_adjugate
 
 _DEFAULT_SEED = 715225741
@@ -67,43 +68,28 @@ def _linear_comb(parts, const, nvars: int) -> Poly:
     return acc
 
 
-def linear_skew(phi: AltForm, nvars: int | None = None) -> SkewMatrix:
-    """Skew matrix of polynomials S_ij = sum_k phi_ijk u^k."""
-    if phi.degree != 3:
-        raise DimensionMismatch("expected a three-form")
-    n = phi.dim
+def build_metric(mcubic: AltForm, mconst: SkewMatrix, nvars: int | None = None) -> SkewMatrix:
+    """The affine metric of a pair, entries Poly:
+    metric_ij = sum_k mcubic_ijk u^k + mconst_ij."""
+    n = mconst.n
+    if mcubic.degree != 3 or mcubic.dim != n:
+        raise DimensionMismatch("three-form and constant part differ in size")
     if nvars is None:
         nvars = n
     if nvars < n:
         raise DimensionMismatch("ring has fewer variables than the form")
     rows: dict = {}
-    for (i, j, k), c in phi.comps.items():
+    for (i, j, k), c in mcubic.comps.items():
         c = _data_entry(c, nvars, n, "three-form")
         for (a, b, v, s) in ((i, j, k, 1), (i, k, j, -1), (j, k, i, 1)):
             rows.setdefault((a, b), []).append((v, c if s > 0 else -c))
     upper = {}
-    for key, parts in rows.items():
-        p = _linear_comb(parts, Fraction(0), nvars)
-        if not p.is_zero():
+    for key in list(rows) + [k for k in mconst.upper if k not in rows]:
+        c = _data_entry(mconst.get(*key), nvars, n, "constant metric part")
+        p = _linear_comb(rows.get(key, ()), c, nvars)
+        if p:
             upper[key] = p
     return SkewMatrix(n, upper)
-
-
-def build_metric(mcubic: AltForm, mconst: SkewMatrix, nvars: int | None = None) -> SkewMatrix:
-    """The affine metric of a pair, entries Poly."""
-    if mcubic.dim != mconst.n:
-        raise DimensionMismatch("three-form and constant part differ in size")
-    if nvars is None:
-        nvars = mconst.n
-    upper = dict(linear_skew(mcubic, nvars).upper)
-    for key, c in mconst.upper.items():
-        c = _data_entry(c, nvars, mconst.n, "constant metric part")
-        s = upper.get(key, Poly.zero(nvars)) + c
-        if s:
-            upper[key] = s
-        else:
-            upper.pop(key, None)
-    return SkewMatrix(mconst.n, upper)
 
 
 def rhs_covector(wskew: SkewMatrix, wconst, nvars: int | None = None) -> tuple:
@@ -292,94 +278,6 @@ class ForcedPair:
         return self._cleared
 
 
-# Sampled checks run in the integers modulo this Mersenne prime.
-MODULUS = (1 << 61) - 1
-
-
-def _residue(c) -> int:
-    """A rational number reduced mod MODULUS."""
-    if isinstance(c, int):
-        return c % MODULUS
-    if c.denominator % MODULUS == 0:
-        raise NoResidue("coefficient %s has no residue mod 2^61-1: its "
-                         "denominator is a multiple of the modulus" % c)
-    return c.numerator * pow(c.denominator, -1, MODULUS) % MODULUS
-
-
-def _random_residue(rng: Lcg) -> int:
-    # the top 61 bits of a word, redrawn in the one case they equal the
-    # modulus, are uniform on 0 .. MODULUS-1
-    while True:
-        x = rng.next_u64() >> 3
-        if x != MODULUS:
-            return x
-
-
-def _reduced_terms(p: Poly) -> list:
-    """(coefficient residue, [(variable index, exponent)]) per term."""
-    return [(_residue(c), [(i, k) for i, k in enumerate(e) if k])
-            for e, c in p.terms.items()]
-
-
-def _eval_mod(terms, x) -> int:
-    total = 0
-    for c, mono in terms:
-        for i, k in mono:
-            c = c * pow(x[i], k, MODULUS) % MODULUS
-        total += c
-    return total % MODULUS
-
-
-class _Vals:
-    """A polynomial reduced to its residues mod MODULUS at fixed points.
-
-    Swapping these in for Poly turns the symbolic compatibility check
-    into a pointwise one with no change to the formulas.  Rational
-    scalars are reduced mod MODULUS before they multiply; `_residue`
-    raises NoResidue, a ValueError, for one whose denominator the modulus
-    divides, rather than return a wrong residue.
-    """
-
-    __slots__ = ("v",)
-
-    def __init__(self, v):
-        self.v = v
-
-    @classmethod
-    def at(cls, p: Poly, points) -> "_Vals":
-        terms = _reduced_terms(p)
-        return cls([_eval_mod(terms, x) for x in points])
-
-    def __add__(self, other):
-        return _Vals([(a + b) % MODULUS for a, b in zip(self.v, other.v)])
-
-    def __sub__(self, other):
-        return _Vals([(a - b) % MODULUS for a, b in zip(self.v, other.v)])
-
-    def __mul__(self, other):
-        if isinstance(other, _Vals):
-            return _Vals([a * b % MODULUS for a, b in zip(self.v, other.v)])
-        c = _residue(other)
-        return _Vals([a * c % MODULUS for a in self.v])
-
-    __rmul__ = __mul__
-
-    def __bool__(self):
-        return any(self.v)
-
-
-def _residue_points(pf: Poly, nvars: int, samples: int, seed: int) -> list:
-    """Uniform residue points mod MODULUS where Pf(g) does not vanish."""
-    terms = _reduced_terms(pf)
-    rng = Lcg(seed)
-    points = []
-    while len(points) < samples:
-        x = tuple(_random_residue(rng) for _ in range(nvars))
-        if _eval_mod(terms, x):
-            points.append(x)
-    return points
-
-
 def _hessian(grad, conv) -> list:
     """Second derivatives over the field directions from the gradient;
     each entry is computed once for p <= l and mirrored."""
@@ -404,16 +302,13 @@ def check_compat(pair, mode: str = "auto", samples: int = 20, seed: int = _DEFAU
     both identities clear to polynomial form; only derivatives in the
     field directions u^1..u^N enter.  The symbolic mode proves them as
     polynomial identities.  The sampled mode evaluates the same
-    combinations modulo the prime p = 2^61 - 1 at `samples` points of
-    independent uniform residues, redrawing any point where P vanishes
-    mod p.  Every residual has total degree at most
-    d = deg g + max deg n^k + 2 deg P - 1 in the ring variables, so by
-    Schwartz-Zippel a residual that is nonzero mod p vanishes at one such
-    point with probability at most d / (p - deg P), and at all of them
-    with at most bound = (d / (p - deg P))^samples.  A residual whose
-    every coefficient is divisible by p cannot be seen this way.  The
-    sampled report adds "modulus", "degree" (d), "points" and "bound"
-    (an exact Fraction).
+    combinations modulo the prime p = 2^61 - 1 at `samples` uniform
+    residue points where P does not vanish mod p.  Every residual has
+    total degree at most d = deg g + max deg n^k + 2 deg P - 1 in the ring
+    variables; the sampled report adds "modulus", "degree" (d), "points"
+    and the Schwartz-Zippel "bound" (d / (p - deg P))^samples, an exact
+    Fraction.  A residual whose every coefficient is divisible by p
+    cannot be seen this way.
 
     Returns a report holding any nonzero residuals: the residual
     polynomial in symbolic mode, the first failing point (residues) and
@@ -428,17 +323,12 @@ def check_compat(pair, mode: str = "auto", samples: int = 20, seed: int = _DEFAU
 
     bound_keys = {}
     if mode == "sampled":
-        if samples < 1:
-            raise ValueError("sampled mode needs at least one point")
         deg_g = max((e.total_degree() for e in pair.metric.upper.values()),
                     default=0)
         deg_n = max(n.total_degree() for n in nums)
         deg_p = P.total_degree()
         degree = max(0, deg_g + deg_n + 2 * deg_p - 1)
-        bound_keys = {"modulus": MODULUS, "degree": degree,
-                      "points": samples,
-                      "bound": Fraction(degree, MODULUS - deg_p) ** samples}
-        points = _residue_points(P, nvars, samples, seed)
+        points, bound_keys = _residue_points(P, degree, samples, seed)
 
         def conv(p):
             return _Vals.at(p, points)
@@ -486,12 +376,6 @@ def check_compat(pair, mode: str = "auto", samples: int = 20, seed: int = _DEFAU
         )
         return lead * P - (dP[l - 1] * d1(k, p)) * 2
 
-    def report(acc):
-        if mode == "symbolic":
-            return acc
-        idx, val = next((i, v) for i, v in enumerate(acc.v) if v)
-        return {"point": points[idx], "value": val}
-
     first = {}
     for p in range(1, N + 1):
         for q in range(p, N + 1):
@@ -504,7 +388,7 @@ def check_compat(pair, mode: str = "auto", samples: int = 20, seed: int = _DEFAU
                 if b is not None:
                     acc = acc + b * d1(j, q)
             if acc:
-                first[(p, q)] = report(acc)
+                first[(p, q)] = acc
 
     @cache
     def cubic_coeff(i, j, k):
@@ -522,7 +406,8 @@ def check_compat(pair, mode: str = "auto", samples: int = 20, seed: int = _DEFAU
                 for k in range(1, N + 1):
                     a = g.get((q, k))
                     if a is not None:
-                        acc = acc + a * d2(k, p, l)
+                        # V^k_{,pl} is symmetric in p and l
+                        acc = acc + a * d2(k, min(p, l), max(p, l))
                     c1 = cubic_coeff(p, q, k)
                     if c1 is not None:
                         acc = acc + d1P(k, l) * c1
@@ -530,7 +415,10 @@ def check_compat(pair, mode: str = "auto", samples: int = 20, seed: int = _DEFAU
                     if c2 is not None:
                         acc = acc + d1P(k, p) * c2
                 if acc:
-                    second[(q, p, l)] = report(acc)
+                    second[(q, p, l)] = acc
+    if mode == "sampled":
+        first = _first_failures(points, first)
+        second = _first_failures(points, second)
 
     return {
         "mode": mode,

@@ -556,6 +556,13 @@ class RatFunc:
             return NotImplemented
         if o.is_zero() or self.is_zero():
             return RatFunc.from_const(self.num_vars, 0)
+        if self.is_constant() or o.is_constant():
+            # scaling keeps the stored form reduced: no gcd
+            c, f = (self, o) if self.is_constant() else (o, self)
+            out = RatFunc.__new__(RatFunc)
+            out.num = f.num * c.const_value()
+            out.den = f.den
+            return out
         if self.den.is_constant() and o.den.is_constant():
             out = RatFunc.__new__(RatFunc)
             c = self.den.const_value() * o.den.const_value()

@@ -1,14 +1,17 @@
-"""Deterministic random generation for tests, demos, and sampled checks.
+"""Deterministic random generation, and the one sampler of the checks.
 
 A fixed 64-bit linear congruential generator (Knuth's MMIX constants)
 keeps every sampled check reproducible from a single integer seed, with
-no dependence on interpreter hashing or library versions.
+no dependence on interpreter hashing or library versions.  Both sampled
+checks, `check_compat` and `congruence_checks`, evaluate residues modulo
+the prime 2^61 - 1 through the sampler at the end of this module.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
+from .errors import NoResidue
 from .forms import AltForm
 from .linalg import Matrix
 from .skew import SkewMatrix
@@ -110,3 +113,111 @@ def random_symplectic(rng: Lcg, j_mat: Matrix, factors: int = 3) -> Matrix:
     for _ in range(factors):
         m = m @ symplectic_transvection(rng, j_mat)
     return m
+
+
+# Sampled checks run in the integers modulo this Mersenne prime.
+MODULUS = (1 << 61) - 1
+
+
+def _residue(c) -> int:
+    """A rational number reduced mod MODULUS."""
+    if isinstance(c, int):
+        return c % MODULUS
+    if c.denominator % MODULUS == 0:
+        raise NoResidue("coefficient %s has no residue mod 2^61-1: its "
+                         "denominator is a multiple of the modulus" % c)
+    return c.numerator * pow(c.denominator, -1, MODULUS) % MODULUS
+
+
+def _random_residue(rng: Lcg) -> int:
+    # the top 61 bits of a word, redrawn in the one case they equal the
+    # modulus, are uniform on 0 .. MODULUS-1
+    while True:
+        x = rng.next_u64() >> 3
+        if x != MODULUS:
+            return x
+
+
+def _reduced_terms(p) -> list:
+    """(coefficient residue, [(variable index, exponent)]) per term."""
+    return [(_residue(c), [(i, k) for i, k in enumerate(e) if k])
+            for e, c in p.terms.items()]
+
+
+def _eval_mod(terms, x) -> int:
+    total = 0
+    for c, mono in terms:
+        for i, k in mono:
+            c = c * pow(x[i], k, MODULUS) % MODULUS
+        total += c
+    return total % MODULUS
+
+
+class _Vals:
+    """A polynomial reduced to its residues mod MODULUS at fixed points.
+
+    Swapping these in for Poly turns a symbolic check into a pointwise
+    one with no change to the formulas.  Rational scalars are reduced mod
+    MODULUS before they multiply; `_residue` raises NoResidue, a
+    ValueError, for one whose denominator the modulus divides, rather
+    than return a wrong residue.
+    """
+
+    __slots__ = ("v",)
+
+    def __init__(self, v):
+        self.v = v
+
+    @classmethod
+    def at(cls, p, points) -> "_Vals":
+        terms = _reduced_terms(p)
+        return cls([_eval_mod(terms, x) for x in points])
+
+    def __add__(self, other):
+        return _Vals([(a + b) % MODULUS for a, b in zip(self.v, other.v)])
+
+    def __sub__(self, other):
+        return _Vals([(a - b) % MODULUS for a, b in zip(self.v, other.v)])
+
+    def __neg__(self):
+        return _Vals([-a % MODULUS for a in self.v])
+
+    def __mul__(self, other):
+        if isinstance(other, _Vals):
+            return _Vals([a * b % MODULUS for a, b in zip(self.v, other.v)])
+        c = _residue(other)
+        return _Vals([a * c % MODULUS for a in self.v])
+
+    __rmul__ = __mul__
+
+    def __bool__(self):
+        return any(self.v)
+
+
+def _residue_points(avoid, degree: int, samples: int, seed: int) -> tuple:
+    """`samples` uniform residue points mod MODULUS, in the ring of the
+    polynomial `avoid`, where it does not vanish, and the report keys of
+    a check there.  By Schwartz-Zippel a residual of degree <= `degree`
+    that is nonzero mod MODULUS vanishes at all the points with
+    probability at most the exact Fraction "bound"."""
+    if samples < 1:
+        raise ValueError("sampled mode needs at least one point")
+    terms = _reduced_terms(avoid)
+    rng = Lcg(seed)
+    points = []
+    while len(points) < samples:
+        x = tuple(_random_residue(rng) for _ in range(avoid.num_vars))
+        if _eval_mod(terms, x):
+            points.append(x)
+    bound = Fraction(degree, MODULUS - avoid.total_degree()) ** samples
+    return points, {"modulus": MODULUS, "degree": degree, "points": samples,
+                    "bound": bound}
+
+
+def _first_failures(points, residuals: dict) -> dict:
+    """Each sampled residual as its first failing point and residue there."""
+    out = {}
+    for key, acc in residuals.items():
+        i = next(i for i, v in enumerate(acc.v) if v)
+        out[key] = {"point": points[i], "value": acc.v[i]}
+    return out

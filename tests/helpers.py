@@ -52,3 +52,18 @@ def generic_pair_n4():
 def pairs_equal(p, q):
     return (p.N == q.N and p.mcubic == q.mcubic and p.mconst == q.mconst
             and p.wskew == q.wskew and tuple(p.wconst) == tuple(q.wconst))
+
+
+P61 = 2 ** 61 - 1
+
+
+def mod_eval(poly, point):
+    """A rational polynomial reduced mod P61 at a residue point; inverses
+    by Fermat's little theorem."""
+    total = 0
+    for e, c in poly.terms.items():
+        v = c.numerator * pow(c.denominator, P61 - 2, P61)
+        for x, k in zip(point, e):
+            v = v * pow(x, k, P61) % P61
+        total += v
+    return total % P61

@@ -17,14 +17,20 @@ from hamforms import (
     PoleError,
     Poly,
     RatFunc,
+    SkewMatrix,
     annihilation_check,
+    build_metric,
+    congruence_checks,
     congruence_matrix,
     congruence_rank,
     form_from_pair,
     grassmann_check,
     pair_columns,
+    pfaffian,
+    pfaffian_adjugate,
     plucker_coords,
     plucker_homogeneous,
+    rhs_covector,
     sign_normalize_rows,
 )
 from hamforms.sampling import sample_point
@@ -36,8 +42,10 @@ from helpers import (
     N4_B,
     N4_G0,
     N4_VARS,
+    P61,
     generic_pair_n2,
     generic_pair_n4,
+    mod_eval,
     sym,
 )
 
@@ -241,6 +249,97 @@ def test_homogeneous_specializes_to_affine():
             want = aff.get(key, Fraction(0))
             assert got == scale * want
         done += 1
+
+
+def _homogeneous_oracle(pair):
+    """Polynomial Pluecker coordinates from the pair's structure form,
+    with their own Pfaffian and adjugate: the metric m and the covector w
+    are the two halves of the form, linear in u^1..u^{N+1}, and the line
+    runs through (u, u^{N+1}, 0) and (adj(m) w, 0, Pf(m))."""
+    N = pair.N
+    nvars = pair.nvars if pair.nvars > N else N + 1
+    sf = form_from_pair(pair)
+    gh = build_metric(sf.metric_block(), SkewMatrix.zero(N + 1), nvars)
+    gblock = SkewMatrix(
+        N, {(i, j): v for (i, j), v in gh.upper.items() if j <= N}
+    )
+    pf = pfaffian(gblock)
+    adj = pfaffian_adjugate(gblock)
+    w = rhs_covector(SkewMatrix.from_form(sf.w_block()), [0] * (N + 1), nvars)
+    second = [
+        sum((adj.get(i, s) * w[s - 1] for s in range(1, N + 1)), Poly.zero(nvars))
+        for i in range(1, N + 1)
+    ]
+    pvec = [Poly.var(nvars, i) for i in range(1, N + 2)] + [Poly.zero(nvars)]
+    qvec = second + [Poly.zero(nvars), pf]
+    out = {}
+    for a in range(N + 2):
+        for b in range(a + 1, N + 2):
+            c = pvec[a] * qvec[b] - pvec[b] * qvec[a]
+            if c:
+                out[(a + 1, b + 1)] = c
+    return out
+
+
+def test_homogeneous_from_the_cleared_flux_matches_the_oracle():
+    pairs = [HamPair.random(Lcg(seed), n) for n in (2, 4, 6)
+             for seed in (1, 2, 3)]
+    for pair in pairs + [generic_pair_n2(), generic_pair_n4()]:
+        assert plucker_homogeneous(pair) == _homogeneous_oracle(pair), pair
+
+
+def test_coordinates_reuse_the_cached_adjugate(monkeypatch):
+    import hamforms.congruence as congruence_mod
+    import hamforms.pairs as pairs_mod
+
+    calls = []
+    for mod in (pairs_mod, congruence_mod):
+        real = getattr(mod, "pfaffian_adjugate", None)
+        if real is not None:
+            monkeypatch.setattr(mod, "pfaffian_adjugate",
+                                lambda s, real=real: calls.append(s) or real(s))
+    pair = HamPair.random(Lcg(77), 4)
+    p = plucker_homogeneous(pair)
+    congruence_checks(form_from_pair(pair), p, "sampled", 3, 1)
+    plucker_homogeneous(pair)
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("build", [
+    lambda: HamPair.random(Lcg(52), 2), lambda: HamPair.random(Lcg(54), 4),
+    generic_pair_n2, lambda: HamPair.random(Lcg(56), 6)])
+def test_sampled_checks_catch_coordinates_off_the_congruence(build):
+    pair = build()
+    n, sf = pair.N, form_from_pair(pair)
+    p = plucker_homogeneous(pair)
+    clean = congruence_checks(sf, p, "sampled", 5, 9)
+    assert clean["mode"] == "sampled"
+    assert not clean["annihilation"] and not clean["quadrics"]
+    # one coordinate moved off the line, keeping its degree
+    nv = p[(1, 2)].num_vars
+    off = dict(p)
+    off[(1, 2)] = p[(1, 2)] + (Poly.var(nv, 2) * Poly.var(nv, n + 1)
+                               * Fraction(3, 2))
+    rep = congruence_checks(sf, off, "sampled", 5, 9)
+    assert rep["annihilation"] and rep["quadrics"]
+    assert rep == congruence_checks(sf, off, "sampled", 5, 9)
+    last = off[(n + 1, n + 2)]
+    assert rep["modulus"] == P61 and rep["points"] == 5
+    assert rep["bound"] == Fraction(rep["degree"],
+                                    P61 - last.total_degree()) ** 5
+    if n == 6:
+        return
+    sym_rep = congruence_checks(sf, off, "symbolic", 5, 9)
+    assert not {"modulus", "degree", "points", "bound"} & set(sym_rep)
+    for name in ("annihilation", "quadrics"):
+        assert set(rep[name]) <= set(sym_rep[name])
+        for key, hit in rep[name].items():
+            assert len(hit["point"]) == nv
+            assert mod_eval(last, hit["point"]) != 0
+            assert hit["value"] != 0
+            assert hit["value"] == mod_eval(sym_rep[name][key], hit["point"])
+        assert max(r.total_degree()
+                   for r in sym_rep[name].values()) <= rep["degree"]
 
 
 def _param_coefficient(poly, diffs):

@@ -25,6 +25,9 @@ GOLDEN_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)),
 CASES = {
     "audit": ["audit"],
     "n6.compose": ["compose", "--pair", "n6_pair.json"],
+    # sampled: the default above four fields
+    "n6.verify": ["verify", "--pair", "n6_pair.json"],
+    "n6.congruence": ["congruence", "--pair", "n6_pair.json"],
 }
 for _n in (2, 4):
     _pair = "n%d_pair.json" % _n

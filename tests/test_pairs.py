@@ -27,7 +27,8 @@ from hamforms import (
 )
 from hamforms.poly import divides
 
-from helpers import generic_pair_n2, generic_pair_n4, pairs_equal
+from helpers import (P61, generic_pair_n2, generic_pair_n4, mod_eval,
+                     pairs_equal)
 
 
 def _defining_residuals(pair):
@@ -196,21 +197,6 @@ def test_forced_pair_clears_by_the_lcm():
 
 # -- the sampled check: residues modulo the prime 2^61 - 1 -------------------
 
-P61 = 2 ** 61 - 1
-
-
-def _mod_eval(poly, point):
-    """A rational polynomial reduced mod P61 at a residue point; inverses
-    by Fermat's little theorem."""
-    total = 0
-    for e, c in poly.terms.items():
-        v = c.numerator * pow(c.denominator, P61 - 2, P61)
-        for x, k in zip(point, e):
-            v = v * pow(x, k, P61) % P61
-        total += v
-    return total % P61
-
-
 def _perturbed(pair, k, m, c):
     """ForcedPair with V^k replaced by V^k + c u^m."""
     flux = list(pair.flux)
@@ -260,6 +246,38 @@ def test_check_forms_each_first_derivative_product_once(monkeypatch):
         assert sum(x == value for x in formed) <= 1, key
 
 
+def test_check_forms_each_second_derivative_once(monkeypatch):
+    # the numerator of V^k_{,pl} is symmetric in p and l, so only one of
+    # its two leading parts, for (p, l) and for (l, p), is ever formed
+    pair = HamPair.random(Lcg(3), 4)
+    n = pair.N
+    nums, P = pair.flux_cleared()
+
+    def lead(k, p, l):
+        # n_{,pl} P + n_{,p} P_{,l} - n_{,l} P_{,p} - n P_{,pl}, n = n^k
+        nk, Pp = nums[k], P.diff(p + 1)
+        return (nk.diff(p + 1).diff(l + 1) * P + nk.diff(p + 1) * P.diff(l + 1)
+                - nk.diff(l + 1) * Pp - nk * Pp.diff(l + 1))
+
+    real = Poly.__mul__
+    formed = []
+
+    def counted(self, other):
+        if other is P:
+            formed.append(self)
+        return real(self, other)
+
+    monkeypatch.setattr(Poly, "__mul__", counted)
+    assert check_compat(pair, mode="symbolic")["all_zero"]
+    monkeypatch.undo()
+    for k in range(n):
+        for p in range(n):
+            for l in range(p + 1, n):
+                pair_leads = (lead(k, p, l), lead(k, l, p))
+                assert pair_leads[0] != pair_leads[1]
+                assert sum(x in pair_leads for x in formed) == 1, (k, p, l)
+
+
 @pytest.mark.parametrize("n, k, m", [(2, 1, 2), (4, 2, 3), (6, 1, 4)])
 def test_sampled_check_catches_a_perturbed_flux(n, k, m):
     pair = HamPair.random(Lcg(40 + n), n)
@@ -275,9 +293,9 @@ def test_sampled_check_catches_a_perturbed_flux(n, k, m):
         assert set(rep[order]) <= set(sym[order])
         for key, hit in rep[order].items():
             assert len(hit["point"]) == forced.nvars
-            assert _mod_eval(pf, hit["point"]) != 0
+            assert mod_eval(pf, hit["point"]) != 0
             assert hit["value"] != 0
-            assert hit["value"] == _mod_eval(sym[order][key], hit["point"])
+            assert hit["value"] == mod_eval(sym[order][key], hit["point"])
 
 
 def test_sampled_report_states_its_bound():

@@ -150,6 +150,25 @@ def test_ratfunc_field_ops():
         assert a - a == RatFunc.from_const(2, 0)
 
 
+def test_ratfunc_scaling_by_a_constant_skips_the_gcd(monkeypatch):
+    import hamforms.poly as poly_mod
+
+    x, y = Poly.var(2, 1), Poly.var(2, 2)
+    f = RatFunc(x * x + y, x * y - Poly.const(2, 3))
+    c = Fraction(-5, 7)
+    real = poly_mod.poly_gcd
+    calls = []
+    monkeypatch.setattr(poly_mod, "poly_gcd",
+                        lambda a, b: calls.append(1) or real(a, b))
+    got = [c * f, f * c, RatFunc.from_const(2, c) * f,
+           f * RatFunc.from_const(2, c)]
+    assert calls == []
+    want = RatFunc(f.num * c, f.den)
+    for g in got:
+        # the same stored form, not only an equal fraction
+        assert (g.num.terms, g.den.terms) == (want.num.terms, want.den.terms)
+
+
 def test_ratfunc_diff_quotient_rule():
     rng = Lcg(808)
     for _ in range(10):
