@@ -39,8 +39,7 @@ from .linalg import Matrix
 from .pairs import auto_mode, check_compat
 from .bridge import form_from_pair, pair_from_form, dimension_audit
 from .congruence import (pair_columns, plucker_homogeneous,
-                         congruence_matrix, congruence_rank,
-                         congruence_checks)
+                         congruence_rank, congruence_checks)
 from .classify import classify_n2, classify_n4, stabilizer_audit, format_system
 from .transforms import (ProjectiveMap, ReciprocalMap, apply_projective,
                          apply_xt_exchange, apply_reciprocal)
@@ -71,6 +70,10 @@ def _mode_of(args, n=None) -> dict:
     if (sample is None and n is not None and not args.symbolic
             and auto_mode(n) == "sampled"):
         sample = _DEFAULT_SAMPLES
+    if n is not None and args.symbolic and auto_mode(n) == "sampled":
+        print("note: --symbolic at N = %d overrides the sampled default and "
+              "can take long; --sample <n> tests n random points" % n,
+              file=sys.stderr)
     if n is None or sample is None:
         return {"kind": "symbolic", "samples": None, "seed": args.seed}
     return {"kind": "sampled", "samples": sample, "seed": args.seed}
@@ -282,11 +285,11 @@ def _equation_strings(m, dim) -> list:
 
 def cmd_congruence(args) -> int:
     pair = pair_from_dict(load_json(args.pair), where=args.pair)
+    mode = _mode_of(args, pair.N)
     sf = form_from_pair(pair)
     dim = pair.N + 2
-    m = congruence_matrix(sf)
     rank_info = congruence_rank(sf)
-    mode = _mode_of(args, pair.N)
+    m = rank_info["matrix"]
 
     rep = congruence_checks(sf, plucker_homogeneous(pair), mode["kind"],
                             mode["samples"] or _DEFAULT_SAMPLES, mode["seed"])

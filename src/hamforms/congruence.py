@@ -80,13 +80,13 @@ def plucker_homogeneous(pair, reduce_common: bool = False) -> dict:
     N = pair.N
     nvars = pair.nvars if pair.nvars > N else N + 1
     nums, pf = pair.flux_cleared()
-    degree = max([N // 2] + [sum(e[:N]) for q in (*nums, pf) for e in q.terms])
+    degree = max([N // 2] + [sum(e[:N]) for q in (*nums, pf) for e, _ in q.items()])
 
     def hom(q):
         # each term times the power of u^{N+1} that lifts it to `degree`
         pad = (0,) * (nvars - q.num_vars)
         return Poly(nvars, {e[:N] + (degree - sum(e[:N]),) + (e + pad)[N + 1:]: c
-                            for e, c in q.terms.items()})
+                            for e, c in q.items()})
 
     pvec = [Poly.var(nvars, i) for i in range(1, N + 2)] + [Poly.zero(nvars)]
     qvec = [hom(q) for q in nums] + [Poly.zero(nvars), hom(pf)]
@@ -206,15 +206,17 @@ def congruence_rank(sf: StructureForm) -> dict:
     """Rank of the congruence matrix plus one dependency certificate.
 
     The certificate c satisfies sum_i c_i row_i = 0 and is returned
-    unnormalized; it is None when the rows are independent.
+    unnormalized; it is None when the rows are independent.  "matrix"
+    is the congruence matrix itself.
     """
-    m = congruence_matrix(sf)
+    matrix = m = congruence_matrix(sf)
     if any(isinstance(v, Poly) for row in m.rows for v in row):
         nv = next(v.num_vars for row in m.rows for v in row
                   if isinstance(v, Poly))
         m = Matrix([[lift(v, nv) for v in row] for row in m.rows])
     rank, cert = rank_and_left_nullvector(m)
     return {
+        "matrix": matrix,
         "rank": rank,
         "rows": m.nrows,
         "dependent": cert is not None,

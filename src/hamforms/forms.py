@@ -10,6 +10,7 @@ only as a wedge result.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 from itertools import combinations
 
 from .errors import DimensionMismatch
@@ -237,17 +238,30 @@ def pullback_linear(phi: AltForm, m: Matrix) -> AltForm:
 
     m has phi.dim rows (output space) and any number of columns (input
     space); component I of the result is sum_A phi_A * det(m[A, I]).
+    Each minor is expanded along its first row; the smaller minors are
+    shared, one per (row tuple, column tuple).
     """
     if m.nrows != phi.dim:
         raise DimensionMismatch("matrix output dimension must match the form")
     dim_in = m.ncols
     k = phi.degree
+
+    @cache
+    def minor(src, tgt):
+        if not src:
+            return Fraction(1)
+        total = Fraction(0)
+        for j, i in enumerate(tgt):
+            x = m.rows[src[0] - 1][i - 1]
+            if x and (d := minor(src[1:], tgt[:j] + tgt[j + 1:])):
+                total = total + x * d if j % 2 == 0 else total - x * d
+        return total
+
     comps: dict = {}
     for tgt in combinations(range(1, dim_in + 1), k):
         total = None
         for src, c in phi.comps.items():
-            sub = Matrix([[m.rows[a - 1][i - 1] for i in tgt] for a in src])
-            d = sub.det()
+            d = minor(src, tgt)
             if not d:
                 continue
             t = c * d

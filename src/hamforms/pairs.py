@@ -141,7 +141,7 @@ class HamPair:
     a Fraction or a Poly in the parameters.  `metric` is derived from
     them with Poly entries.  The flux is held in cleared form, numerators
     adj(metric) . w over Pf(metric), computed once on first use and
-    shared by `flux_cleared`, `pf` and `check_compat`; `flux` reduces it
+    shared by `flux_cleared` and `check_compat`; `flux` reduces it
     to RatFuncs for display.
     """
 
@@ -194,9 +194,6 @@ class HamPair:
             nums = tuple(_row_dot(adj, i, w, self.nvars) for i in range(1, self.N + 1))
             self._cleared = nums, self._pf
         return self._cleared
-
-    def pf(self) -> Poly:
-        return self._pf
 
     def __eq__(self, other):
         if not isinstance(other, HamPair):

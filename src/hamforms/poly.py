@@ -1,12 +1,17 @@
 """Exact multivariate polynomials and rational functions over the rationals.
 
-Coefficients are `fractions.Fraction`.  A polynomial is a sparse map from
-exponent vectors to coefficients with a fixed variable count; monomials are
-ordered graded-lexicographically so every polynomial has one stored form.
-A rational function keeps a gcd-reduced numerator/denominator pair with the
-denominator scaled to be integer-primitive with positive leading coefficient,
-which makes equality a plain structural comparison and keeps printed and
-serialized output reproducible bit for bit.
+A polynomial is an integer polynomial over one positive integer
+denominator.  Each monomial is packed into one int of fixed-width
+fields: the total degree in the most significant field, then the
+exponents of u1 .. un.  Int order on the packed keys is therefore the
+graded-lexicographic order, so the leading term is the largest key, and
+the sum of two keys is the key of the product monomial.  A product whose
+total degree would not fit in a field raises OverflowError.  The stored
+form is canonical (the denominator shares no factor with every
+coefficient), so equality is structural and printed and serialized
+output is reproducible bit for bit.  A rational function keeps a
+gcd-reduced numerator/denominator pair with the denominator scaled to be
+integer-primitive with positive leading coefficient.
 
 Variable indices are 1-based everywhere in the public interface.
 """
@@ -17,6 +22,10 @@ import math
 from fractions import Fraction
 
 from .errors import PoleError
+
+# Bits per packed field; the largest total degree a monomial may have.
+_BITS = 16
+MAX_DEGREE = (1 << _BITS) - 1
 
 
 def as_fraction(x) -> Fraction:
@@ -30,57 +39,83 @@ def as_fraction(x) -> Fraction:
     raise TypeError("expected a rational value, got %r" % (x,))
 
 
-def grlex_key(exps):
-    """Sort key realizing graded lexicographic order (max = leading term)."""
-    return (sum(exps), exps)
+def _pack(exps) -> int:
+    if min(exps, default=0) < 0:
+        raise ValueError("negative exponent")
+    key = sum(exps)
+    if key > MAX_DEGREE:
+        raise OverflowError("total degree above %d" % MAX_DEGREE)
+    for e in exps:
+        key = key << _BITS | e
+    return key
+
+
+def unpack(key: int, num_vars: int) -> tuple:
+    """The exponent vector of a packed monomial."""
+    return tuple(key >> _BITS * (num_vars - i) & MAX_DEGREE
+                 for i in range(1, num_vars + 1))
+
+
+def _poly(num_vars: int, terms: dict, den: int = 1) -> "Poly":
+    """The Poly terms/den from nonzero int terms and a positive den,
+    brought to lowest terms by one gcd."""
+    if den != 1:
+        g = math.gcd(den, *terms.values())
+        if g != 1:
+            den //= g
+            terms = {k: c // g for k, c in terms.items()}
+    out = Poly.__new__(Poly)
+    out.num_vars, out.terms, out.den = num_vars, terms, den
+    return out
 
 
 class Poly:
-    """Sparse polynomial in `num_vars` variables over Q."""
+    """Sparse polynomial in `num_vars` variables over Q.
 
-    __slots__ = ("num_vars", "terms")
+    `terms` maps packed monomials to nonzero int coefficients and `den`
+    is a positive int with gcd(den, coefficients) = 1; the polynomial is
+    sum(c * u^unpack(k)) / den.  `items()` gives the terms as (exponent
+    tuple, Fraction) pairs.
+    """
+
+    __slots__ = ("num_vars", "terms", "den")
 
     def __init__(self, num_vars: int, terms=None):
-        self.num_vars = num_vars
-        clean = {}
-        if terms:
-            for exps, c in terms.items():
-                if len(exps) != num_vars:
-                    raise ValueError("exponent vector has wrong length")
-                c = as_fraction(c)
-                if c:
-                    clean[tuple(exps)] = c
-        self.terms = clean
+        fracs = {}
+        for exps, c in (terms or {}).items():
+            if len(exps) != num_vars:
+                raise ValueError("exponent vector has wrong length")
+            c = as_fraction(c)
+            if c:
+                fracs[_pack(exps)] = c
+        # the lcm of reduced denominators shares no factor with all numerators
+        den = math.lcm(*(c.denominator for c in fracs.values()))
+        self.num_vars, self.den = num_vars, den
+        self.terms = {k: c.numerator * (den // c.denominator)
+                      for k, c in fracs.items()}
 
     # -- constructors ------------------------------------------------
 
     @classmethod
     def zero(cls, num_vars: int) -> "Poly":
-        return cls(num_vars)
+        return _poly(num_vars, {})
 
     @classmethod
     def const(cls, num_vars: int, c) -> "Poly":
         c = as_fraction(c)
-        if not c:
-            return cls(num_vars)
-        return cls(num_vars, {(0,) * num_vars: c})
+        return _poly(num_vars, {0: c.numerator} if c else {}, c.denominator)
 
     @classmethod
     def one(cls, num_vars: int) -> "Poly":
-        return cls.const(num_vars, 1)
+        return _poly(num_vars, {0: 1})
 
     @classmethod
     def var(cls, num_vars: int, i: int) -> "Poly":
         """The monomial u_i (1-based)."""
         if not 1 <= i <= num_vars:
             raise ValueError("variable index out of range")
-        exps = [0] * num_vars
-        exps[i - 1] = 1
-        return cls(num_vars, {tuple(exps): Fraction(1)})
-
-    @classmethod
-    def monomial(cls, num_vars: int, exps, c=1) -> "Poly":
-        return cls(num_vars, {tuple(exps): as_fraction(c)})
+        key = (1 << _BITS * num_vars) + (1 << _BITS * (num_vars - i))
+        return _poly(num_vars, {key: 1})
 
     # -- predicates and views ------------------------------------------
 
@@ -91,41 +126,47 @@ class Poly:
         return bool(self.terms)
 
     def is_constant(self) -> bool:
-        return all(not any(e) for e in self.terms)
+        return self.terms.keys() <= {0}
 
     def const_value(self) -> Fraction:
-        if not self.terms:
-            return Fraction(0)
         if not self.is_constant():
             raise ValueError("polynomial is not constant")
-        return next(iter(self.terms.values()))
+        return Fraction(self.terms.get(0, 0), self.den)
 
     def total_degree(self) -> int:
         """Total degree; -1 for the zero polynomial."""
         if not self.terms:
             return -1
-        return max(sum(e) for e in self.terms)
+        return max(self.terms) >> _BITS * self.num_vars
 
     def degree_in(self, var: int) -> int:
         if not self.terms:
             return -1
-        return max(e[var - 1] for e in self.terms)
+        s = _BITS * (self.num_vars - var)
+        return max(k >> s & MAX_DEGREE for k in self.terms)
 
     def uses_var(self, var: int) -> bool:
-        return any(e[var - 1] for e in self.terms)
+        return self.degree_in(var) > 0
 
     def coeff_of(self, exps) -> Fraction:
-        return self.terms.get(tuple(exps), Fraction(0))
+        return Fraction(self.terms.get(_pack(exps), 0), self.den)
+
+    def items(self):
+        """The terms as (exponent tuple, Fraction) pairs."""
+        nv, den = self.num_vars, self.den
+        return ((unpack(k, nv), Fraction(c, den)) for k, c in self.terms.items())
 
     def leading(self):
         """(exponent vector, coefficient) of the graded-lex leading term."""
         if not self.terms:
             raise ValueError("zero polynomial has no leading term")
-        e = max(self.terms, key=grlex_key)
-        return e, self.terms[e]
+        k = max(self.terms)
+        return unpack(k, self.num_vars), Fraction(self.terms[k], self.den)
 
     def sorted_terms(self):
-        return sorted(self.terms.items(), key=lambda t: grlex_key(t[0]), reverse=True)
+        nv, den = self.num_vars, self.den
+        return [(unpack(k, nv), Fraction(self.terms[k], den))
+                for k in sorted(self.terms, reverse=True)]
 
     # -- ring operations ------------------------------------------------
 
@@ -133,67 +174,59 @@ class Poly:
         if self.num_vars != other.num_vars:
             raise ValueError("polynomials from different rings")
 
-    def __add__(self, other):
+    def _plus(self, other, sign: int):
         if isinstance(other, (int, Fraction)):
             other = Poly.const(self.num_vars, other)
         if not isinstance(other, Poly):
             return NotImplemented
         self._check(other)
-        terms = dict(self.terms)
-        for e, c in other.terms.items():
-            s = terms.get(e, Fraction(0)) + c
+        den = math.lcm(self.den, other.den)
+        fa, fb = den // self.den, sign * (den // other.den)
+        terms = {k: c * fa for k, c in self.terms.items()} if fa != 1 else dict(self.terms)
+        for k, c in other.terms.items():
+            s = terms.get(k, 0) + c * fb
             if s:
-                terms[e] = s
+                terms[k] = s
             else:
-                terms.pop(e, None)
-        out = Poly.__new__(Poly)
-        out.num_vars = self.num_vars
-        out.terms = terms
-        return out
+                del terms[k]
+        return _poly(self.num_vars, terms, den)
+
+    def __add__(self, other):
+        return self._plus(other, 1)
 
     __radd__ = __add__
 
     def __neg__(self):
-        out = Poly.__new__(Poly)
-        out.num_vars = self.num_vars
-        out.terms = {e: -c for e, c in self.terms.items()}
-        return out
+        return _poly(self.num_vars, {k: -c for k, c in self.terms.items()}, self.den)
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = Poly.const(self.num_vars, other)
-        if not isinstance(other, Poly):
-            return NotImplemented
-        return self + (-other)
+        return self._plus(other, -1)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
+        nv = self.num_vars
         if isinstance(other, (int, Fraction)):
-            c = as_fraction(other)
-            if not c:
-                return Poly.zero(self.num_vars)
-            out = Poly.__new__(Poly)
-            out.num_vars = self.num_vars
-            out.terms = {e: v * c for e, v in self.terms.items()}
-            return out
+            n, d = other.numerator, other.denominator
+            if not n:
+                return _poly(nv, {})
+            return _poly(nv, {k: c * n for k, c in self.terms.items()}, self.den * d)
         if not isinstance(other, Poly):
             return NotImplemented
         self._check(other)
+        a, b = self.terms, other.terms
+        if not a or not b:
+            return _poly(nv, {})
+        if (max(a) >> _BITS * nv) + (max(b) >> _BITS * nv) > MAX_DEGREE:
+            raise OverflowError("product of total degree above %d" % MAX_DEGREE)
         terms: dict = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                s = terms.get(e, Fraction(0)) + c1 * c2
-                if s:
-                    terms[e] = s
-                else:
-                    terms.pop(e, None)
-        out = Poly.__new__(Poly)
-        out.num_vars = self.num_vars
-        out.terms = terms
-        return out
+        get = terms.get
+        for k1, c1 in a.items():
+            for k2, c2 in b.items():
+                k = k1 + k2
+                terms[k] = get(k, 0) + c1 * c2
+        return _poly(nv, {k: c for k, c in terms.items() if c}, self.den * other.den)
 
     __rmul__ = __mul__
 
@@ -214,10 +247,10 @@ class Poly:
             other = Poly.const(self.num_vars, other)
         if not isinstance(other, Poly):
             return NotImplemented
-        return self.num_vars == other.num_vars and self.terms == other.terms
+        return (self.num_vars, self.den, self.terms) == (other.num_vars, other.den, other.terms)
 
     def __hash__(self):
-        return hash((self.num_vars, frozenset(self.terms.items())))
+        return hash((self.num_vars, self.den, frozenset(self.terms.items())))
 
     # -- calculus and evaluation --------------------------------------
 
@@ -225,13 +258,14 @@ class Poly:
         """Partial derivative in variable `var` (1-based)."""
         if not 1 <= var <= self.num_vars:
             raise ValueError("variable index out of range")
-        i = var - 1
+        s = _BITS * (self.num_vars - var)
+        step = (1 << _BITS * self.num_vars) + (1 << s)
         terms = {}
-        for e, c in self.terms.items():
-            if e[i]:
-                e2 = e[:i] + (e[i] - 1,) + e[i + 1:]
-                terms[e2] = terms.get(e2, Fraction(0)) + c * e[i]
-        return Poly(self.num_vars, terms)
+        for k, c in self.terms.items():
+            e = k >> s & MAX_DEGREE
+            if e:
+                terms[k - step] = c * e
+        return _poly(self.num_vars, terms, self.den)
 
     def eval(self, point) -> Fraction:
         """Evaluate at a full point of rationals."""
@@ -239,7 +273,7 @@ class Poly:
         if len(point) != self.num_vars:
             raise ValueError("point has wrong length")
         total = Fraction(0)
-        for e, c in self.terms.items():
+        for e, c in self.items():
             v = c
             for x, k in zip(point, e):
                 if k:
@@ -275,19 +309,11 @@ class Poly:
         sign, and p integer-primitive with positive leading coefficient."""
         if not self.terms:
             return Fraction(1), self
-        num_gcd = 0
-        den_lcm = 1
-        for c in self.terms.values():
-            num_gcd = math.gcd(num_gcd, abs(c.numerator))
-            den_lcm = den_lcm * c.denominator // math.gcd(den_lcm, c.denominator)
-        unit = Fraction(num_gcd, den_lcm)
-        _, lead = self.leading()
-        if lead < 0:
-            unit = -unit
-        out = Poly.__new__(Poly)
-        out.num_vars = self.num_vars
-        out.terms = {e: c / unit for e, c in self.terms.items()}
-        return unit, out
+        g = math.gcd(*self.terms.values())
+        if self.terms[max(self.terms)] < 0:
+            g = -g
+        prim = {k: c // g for k, c in self.terms.items()}
+        return Fraction(g, self.den), _poly(self.num_vars, prim)
 
     def primitive(self) -> "Poly":
         return self.content_unit()[1]
@@ -332,22 +358,34 @@ def exact_div(f: Poly, d: Poly) -> Poly:
     """Exact quotient f/d; raises ValueError if d does not divide f."""
     if d.is_zero():
         raise ZeroDivisionError("division by the zero polynomial")
-    if f.is_zero():
-        return Poly.zero(f.num_vars)
     if d.is_constant():
         return f * (Fraction(1) / d.const_value())
-    q = Poly.zero(f.num_vars)
-    r = f
-    de, dc = d.leading()
-    while not r.is_zero():
-        re, rc = r.leading()
-        qe = tuple(a - b for a, b in zip(re, de))
-        if any(x < 0 for x in qe):
+    # divide the integer numerators, scaling both remainder r and
+    # quotient q where a leading coefficient would leave the integers;
+    # the quotient of the numerators is q / s
+    nv, dterms = f.num_vars, d.terms
+    dk = max(dterms)
+    dc, de = dterms[dk], unpack(dk, nv)
+    r, q, s = dict(f.terms), {}, 1
+    while r:
+        rk = max(r)
+        if any(a < b for a, b in zip(unpack(rk, nv), de)):
             raise ValueError("not an exact multiple")
-        t = Poly.monomial(f.num_vars, qe, rc / dc)
-        q = q + t
-        r = r - t * d
-    return q
+        m = abs(dc) // math.gcd(r[rk], dc)
+        if m != 1:
+            r = {k: c * m for k, c in r.items()}
+            q = {k: c * m for k, c in q.items()}
+            s *= m
+        qk = rk - dk
+        q[qk] = t = r[rk] // dc
+        for k2, c2 in dterms.items():
+            k = qk + k2
+            v = r.get(k, 0) - t * c2
+            if v:
+                r[k] = v
+            else:
+                del r[k]
+    return _poly(nv, {k: c * d.den for k, c in q.items()}, s * f.den)
 
 
 def divides(d: Poly, f: Poly) -> bool:
@@ -360,14 +398,12 @@ def divides(d: Poly, f: Poly) -> bool:
 
 def _coeffs_in_var(f: Poly, var: int):
     """Split f into {degree: coefficient Poly} with respect to one variable."""
-    i = var - 1
+    s, ds = _BITS * (f.num_vars - var), _BITS * f.num_vars
     out: dict = {}
-    for e, c in f.terms.items():
-        k = e[i]
-        e2 = e[:i] + (0,) + e[i + 1:]
-        g = out.setdefault(k, {})
-        g[e2] = g.get(e2, Fraction(0)) + c
-    return {k: Poly(f.num_vars, t) for k, t in out.items()}
+    for k, c in f.terms.items():
+        e = k >> s & MAX_DEGREE
+        out.setdefault(e, {})[k - (e << s) - (e << ds)] = c
+    return {e: _poly(f.num_vars, t, f.den) for e, t in out.items()}
 
 
 def _prem(f: Poly, g: Poly, var: int) -> Poly:
@@ -401,7 +437,7 @@ def poly_gcd(f: Poly, g: Poly) -> Poly:
         return f.primitive()
     if f.is_constant() or g.is_constant():
         return Poly.one(f.num_vars)
-    if f.terms == g.terms or f.terms == (-g).terms:
+    if f == g or f == -g:
         return f.primitive()
     var = max(
         v

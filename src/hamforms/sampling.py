@@ -13,7 +13,7 @@ from fractions import Fraction
 
 from .errors import NoResidue
 from .forms import AltForm
-from .linalg import Matrix
+from .poly import unpack
 from .skew import SkewMatrix
 
 _MULT = 6364136223846793005
@@ -52,10 +52,6 @@ class Lcg:
                 return f
 
 
-def sample_point(rng: Lcg, nvars: int, max_num: int = 7, max_den: int = 3) -> tuple:
-    return tuple(rng.fraction(max_num, max_den) for _ in range(nvars))
-
-
 def random_vector(rng: Lcg, n: int, max_num: int = 5) -> tuple:
     return tuple(rng.fraction(max_num) for _ in range(n))
 
@@ -79,40 +75,6 @@ def random_three_form(rng: Lcg, dim: int, max_num: int = 5, density: float = 1.0
                 if rng.randint(0, 999) < cutoff:
                     comps[(i, j, k)] = rng.fraction(max_num)
     return AltForm(3, dim, comps)
-
-
-def random_matrix(rng: Lcg, nrows: int, ncols: int, max_num: int = 4) -> Matrix:
-    return Matrix([[rng.fraction(max_num) for _ in range(ncols)] for _ in range(nrows)])
-
-
-def random_invertible(rng: Lcg, n: int, max_num: int = 4) -> Matrix:
-    while True:
-        m = random_matrix(rng, n, n, max_num)
-        if m.det():
-            return m
-
-
-def symplectic_transvection(rng: Lcg, j_mat: Matrix, max_num: int = 3) -> Matrix:
-    """I + c v (J v)^T: preserves the symplectic form with matrix J."""
-    n = j_mat.nrows
-    while True:
-        v = [rng.fraction(max_num) for _ in range(n)]
-        if any(v):
-            break
-    jv = j_mat.apply(v)
-    c = rng.nonzero_fraction(max_num)
-    rows = [
-        [Fraction(i == k) + c * v[i] * jv[k] for k in range(n)]
-        for i in range(n)
-    ]
-    return Matrix(rows)
-
-
-def random_symplectic(rng: Lcg, j_mat: Matrix, factors: int = 3) -> Matrix:
-    m = Matrix.identity(j_mat.nrows)
-    for _ in range(factors):
-        m = m @ symplectic_transvection(rng, j_mat)
-    return m
 
 
 # Sampled checks run in the integers modulo this Mersenne prime.
@@ -140,8 +102,13 @@ def _random_residue(rng: Lcg) -> int:
 
 def _reduced_terms(p) -> list:
     """(coefficient residue, [(variable index, exponent)]) per term."""
-    return [(_residue(c), [(i, k) for i, k in enumerate(e) if k])
-            for e, c in p.terms.items()]
+    if p.den % MODULUS == 0:
+        raise NoResidue("coefficients with denominator %d have no residue "
+                        "mod 2^61-1: it is a multiple of the modulus" % p.den)
+    inv = pow(p.den, -1, MODULUS)
+    return [(c * inv % MODULUS,
+             [(i, k) for i, k in enumerate(unpack(key, p.num_vars)) if k])
+            for key, c in p.terms.items()]
 
 
 def _eval_mod(terms, x) -> int:

@@ -181,7 +181,7 @@ def conformal_check(pair: HamPair, new_pair: HamPair, phi: ProjectiveMap) -> boo
         # A * (f composed with the point map); metric entries are affine
         # in the fields, so each term keeps at most one field factor
         out = Poly.zero(nv)
-        for exps, c in f.terms.items():
+        for exps, c in f.items():
             rest = Poly(nv, {(0,) * n + exps[n:]: c})
             field = exps[:n]
             out = out + rest * (nums[field.index(1)] if any(field) else den)

@@ -6,7 +6,7 @@ then the free coefficients, so every test uses one fixed ring layout.
 
 from fractions import Fraction
 
-from hamforms import AltForm, HamPair, Poly, SkewMatrix
+from hamforms import AltForm, HamPair, Matrix, Poly, SkewMatrix
 
 # two-field pair: u1 u2 | u3 hom | g12 a12 b1 b2
 N2_VARS = 7
@@ -49,6 +49,45 @@ def generic_pair_n4():
     )
 
 
+def sample_point(rng, nvars, max_num=7, max_den=3):
+    """A point of small random rationals."""
+    return tuple(rng.fraction(max_num, max_den) for _ in range(nvars))
+
+
+def random_matrix(rng, nrows: int, ncols: int, max_num: int = 4) -> Matrix:
+    return Matrix([[rng.fraction(max_num) for _ in range(ncols)] for _ in range(nrows)])
+
+
+def random_invertible(rng, n: int, max_num: int = 4) -> Matrix:
+    while True:
+        m = random_matrix(rng, n, n, max_num)
+        if m.det():
+            return m
+
+
+def symplectic_transvection(rng, j_mat: Matrix, max_num: int = 3) -> Matrix:
+    """I + c v (J v)^T: preserves the symplectic form with matrix J."""
+    n = j_mat.nrows
+    while True:
+        v = [rng.fraction(max_num) for _ in range(n)]
+        if any(v):
+            break
+    jv = j_mat.apply(v)
+    c = rng.nonzero_fraction(max_num)
+    rows = [
+        [Fraction(i == k) + c * v[i] * jv[k] for k in range(n)]
+        for i in range(n)
+    ]
+    return Matrix(rows)
+
+
+def random_symplectic(rng, j_mat: Matrix, factors: int = 3) -> Matrix:
+    m = Matrix.identity(j_mat.nrows)
+    for _ in range(factors):
+        m = m @ symplectic_transvection(rng, j_mat)
+    return m
+
+
 def pairs_equal(p, q):
     return (p.N == q.N and p.mcubic == q.mcubic and p.mconst == q.mconst
             and p.wskew == q.wskew and tuple(p.wconst) == tuple(q.wconst))
@@ -61,7 +100,7 @@ def mod_eval(poly, point):
     """A rational polynomial reduced mod P61 at a residue point; inverses
     by Fermat's little theorem."""
     total = 0
-    for e, c in poly.terms.items():
+    for e, c in poly.items():
         v = c.numerator * pow(c.denominator, P61 - 2, P61)
         for x, k in zip(point, e):
             v = v * pow(x, k, P61) % P61

@@ -54,13 +54,7 @@ from hamforms import (
 )
 from hamforms.classify import eta_gram
 from hamforms.poly import lift
-from hamforms.sampling import (
-    random_invertible,
-    random_skew,
-    random_symplectic,
-    random_three_form,
-    sample_point,
-)
+from hamforms.sampling import random_skew, random_three_form
 
 from helpers import (
     N2_SYM,
@@ -72,6 +66,9 @@ from helpers import (
     generic_pair_n2,
     generic_pair_n4,
     pairs_equal,
+    random_invertible,
+    random_symplectic,
+    sample_point,
     sym,
 )
 
@@ -293,7 +290,7 @@ def test_criterion_06_line_identities():
                 assert grassmann_check(q, n + 2)["ok"], (n, k)
     pair = HamPair.random(rng, 6)
     sf = form_from_pair(pair)
-    pf = pair.pf()
+    pf = pair.flux_cleared()[1]
     done = 0
     while done < 20:
         x = sample_point(rng, 6)

@@ -31,9 +31,9 @@ from hamforms import (
     symplectic_split,
 )
 from hamforms.classify import eta_gram
-from hamforms.sampling import random_skew, random_symplectic
+from hamforms.sampling import random_skew
 
-from helpers import pairs_equal
+from helpers import pairs_equal, random_symplectic
 
 
 def test_split_of_reference_form():

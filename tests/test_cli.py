@@ -68,6 +68,23 @@ def test_congruence_rank_and_table(capsys, pair_file):
     assert "du1" in out and "p12" in out
 
 
+def test_congruence_matrix_built_once(capsys, pair_file, monkeypatch):
+    import hamforms.congruence as congruence_mod
+
+    calls = []
+    real = congruence_mod.congruence_matrix
+
+    def counted(sf):
+        calls.append(sf)
+        return real(sf)
+
+    # every module binding, in case the command imports it too
+    monkeypatch.setattr(congruence_mod, "congruence_matrix", counted)
+    monkeypatch.setattr(cli, "congruence_matrix", counted, raising=False)
+    code, _, _ = run(capsys, "congruence", "--pair", pair_file, "--table")
+    assert code == 0 and len(calls) == 1
+
+
 def test_compose_decompose_chain(capsys, tmp_path, pair_file):
     omega_path = str(tmp_path / "omega.json")
     code, _, _ = run(capsys, "compose", "--pair", pair_file,
@@ -333,9 +350,9 @@ def test_six_fields_default_to_sampling(capsys, tmp_path, monkeypatch):
 def test_symbolic_stays_the_default_up_to_four_fields(capsys, pair_file):
     outs = []
     for extra in ([], ["--symbolic"]):
-        code, out, _ = run(capsys, "verify", "--pair", pair_file,
-                           "--format", "json", *extra)
-        assert code == 0
+        code, out, err = run(capsys, "verify", "--pair", pair_file,
+                             "--format", "json", *extra)
+        assert code == 0 and not err
         outs.append(out)
     assert outs[0] == outs[1]
     assert json.loads(outs[0])["mode"] == {"kind": "symbolic",
@@ -344,6 +361,19 @@ def test_symbolic_stays_the_default_up_to_four_fields(capsys, pair_file):
     code, out, _ = run(capsys, "transform", "--pair", pair_file, "--xt",
                        "--sample", "5", "--format", "json")
     assert json.loads(out)["mode"]["kind"] == "symbolic"
+
+
+def test_symbolic_above_four_fields_gives_notice(capsys, tmp_path):
+    path = tmp_path / "n6.json"
+    path.write_text(json.dumps(N6_PAIR))
+    for command in ("verify", "congruence"):
+        argv = (command, "--pair", str(path), "--format", "json")
+        code, out, err = run(capsys, *argv, "--symbolic")
+        assert code == 0 and json.loads(out)["mode"]["kind"] == "symbolic"
+        assert len(err.splitlines()) == 1
+        assert "N = 6" in err and "--sample" in err
+        for extra in ([], ["--sample", "3"]):
+            assert run(capsys, *argv, *extra)[2] == ""
 
 
 def test_bound_rendering():

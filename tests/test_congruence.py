@@ -33,7 +33,6 @@ from hamforms import (
     rhs_covector,
     sign_normalize_rows,
 )
-from hamforms.sampling import sample_point
 
 from helpers import (
     N2_SYM,
@@ -46,6 +45,7 @@ from helpers import (
     generic_pair_n2,
     generic_pair_n4,
     mod_eval,
+    sample_point,
     sym,
 )
 
@@ -170,7 +170,7 @@ def test_checks_at_points_six_fields():
     rng = Lcg(74)
     pair = HamPair.random(rng, 6)
     sf = form_from_pair(pair)
-    pfp = pair.pf()
+    pfp = pair.flux_cleared()[1]
     done = 0
     while done < 5:
         x = sample_point(rng, pair.nvars)
@@ -190,7 +190,7 @@ def test_annihilation_rows_match_matrix():
     sf = form_from_pair(pair)
     m = congruence_matrix(sf)
     cols = pair_columns(6)
-    pfp = pair.pf()
+    pfp = pair.flux_cleared()[1]
     while True:
         x = sample_point(rng, pair.nvars)
         if pfp.eval(x):
@@ -234,7 +234,7 @@ def test_homogeneous_specializes_to_affine():
     rng = Lcg(76)
     pair = HamPair.random(rng, 4)
     hom = plucker_homogeneous(pair)
-    pfp = pair.pf()
+    pfp = pair.flux_cleared()[1]
     done = 0
     while done < 5:
         x4 = sample_point(rng, 4)

@@ -5,7 +5,7 @@ of the tensor product, (p+q)!/(p! q!) shuffles expanded by brute force.
 """
 
 from fractions import Fraction
-from itertools import permutations
+from itertools import combinations, permutations
 from math import factorial
 
 import pytest
@@ -140,6 +140,24 @@ def test_pullback_swap_and_scale():
                     for i in range(4)])
     h = pullback_linear(f, scale)
     assert h == f.scale(c ** 3)
+
+
+def test_pullback_matches_the_minor_formula():
+    # component I is sum_A phi_A det(m[A, I]), each det by elimination
+    rng = Lcg(38)
+    for degree in (1, 2, 3):
+        for ncols in range(degree, 7):
+            f = random_form(rng, degree, 5, nterms=6)
+            m = Matrix([[rng.fraction() if rng.randint(0, 2) else Fraction(0)
+                         for _ in range(ncols)] for _ in range(5)])
+            want = {}
+            for tgt in combinations(range(1, ncols + 1), degree):
+                total = sum((c * Matrix([[m[a - 1, i - 1] for i in tgt]
+                                         for a in src]).det()
+                             for src, c in f.comps.items()), Fraction(0))
+                if total:
+                    want[tgt] = total
+            assert pullback_linear(f, m).comps == want
 
 
 def test_pullback_respects_wedge():

@@ -28,6 +28,10 @@ CASES = {
     # sampled: the default above four fields
     "n6.verify": ["verify", "--pair", "n6_pair.json"],
     "n6.congruence": ["congruence", "--pair", "n6_pair.json"],
+    # Poly and RatFunc text in grlex order
+    "n2.classify": ["classify", "--omega", "out/n2.compose.json"],
+    "n4.classify": ["classify", "--omega", "n4_std.json"],
+    "n4.verify": ["verify", "--pair", "n4_pair.json", "--symbolic"],
 }
 for _n in (2, 4):
     _pair = "n%d_pair.json" % _n
@@ -68,8 +72,8 @@ def test_golden_output(name, monkeypatch):
 if __name__ == "__main__":
     os.chdir(GOLDEN_DIR)
     os.makedirs("out", exist_ok=True)
-    # compose first: the decompose cases read its recordings
-    for name in sorted(CASES, key=lambda n: "decompose" in n):
+    # compose first: the decompose and classify cases read its recordings
+    for name in sorted(CASES, key=lambda n: not n.endswith(".compose")):
         code, out = _run(CASES[name])
         if code != 0:
             sys.exit("%s exited %d" % (name, code))

@@ -93,7 +93,6 @@ def test_cleared_flux_computed_once(monkeypatch):
     pair = generic_pair_n4()
     cleared = pair.flux_cleared()
     assert pair.flux_cleared() is cleared
-    assert pair.pf() is cleared[1]
     pair.flux
     check_compat(pair, mode="sampled", samples=2)
     assert calls == {"pfaffian": 1, "pfaffian_adjugate": 1}
@@ -162,7 +161,7 @@ def test_pair_equality():
 
 def test_pf_is_polynomial():
     pair = generic_pair_n4()
-    pf = pair.pf()
+    pf = pair.flux_cleared()[1]
     assert isinstance(pf, Poly)
     assert not pf.is_zero()
 

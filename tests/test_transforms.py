@@ -25,9 +25,8 @@ from hamforms import (
     pair_from_form,
     pullback_linear,
 )
-from hamforms.sampling import random_invertible
 
-from helpers import pairs_equal
+from helpers import pairs_equal, random_invertible
 
 
 def test_identity_map():
