@@ -25,13 +25,11 @@ TOP4 = (1, 2, 3, 4)
 
 
 def eta_matrix() -> SkewMatrix:
-    """The standard symplectic form du1^du2 + du3^du4 as a skew matrix."""
+    """The standard symplectic two-form du1^du2 + du3^du4."""
     return SkewMatrix(4, {(1, 2): Fraction(1), (3, 4): Fraction(1)})
 
 
-def eta_form() -> AltForm:
-    """The standard symplectic two-form on four coordinates."""
-    return eta_matrix().to_form()
+eta_form = eta_matrix
 
 
 def eta_gram() -> Matrix:
@@ -81,10 +79,8 @@ def symplectic_split(a) -> SymplecticSplit:
 
     The eta-coefficient is the ratio of top-form coefficients
     (a ^ eta) / (eta ^ eta); the remainder is trace-free by
-    construction.  Accepts an AltForm or a SkewMatrix.
+    construction.  A SkewMatrix is such a two-form.
     """
-    if isinstance(a, SkewMatrix):
-        a = a.to_form()
     if a.degree != 2 or a.dim != 4:
         raise DimensionMismatch("splitting needs a two-form on four coordinates")
     eta = eta_form()
@@ -102,8 +98,6 @@ def q_form(theta):
     a nonzero wedge against eta raises NotInThetaEta.  Equals twice the
     Pfaffian of theta read as a skew matrix.
     """
-    if isinstance(theta, SkewMatrix):
-        theta = theta.to_form()
     if theta.degree != 2 or theta.dim != 4:
         raise DimensionMismatch("the quadric takes a two-form on four coordinates")
     trace = wedge(eta_form(), theta)
@@ -268,8 +262,7 @@ def classify_n4(sf: StructureForm) -> ClassificationResult:
         raise DimensionMismatch("four-field classification needs N=4")
     if not sf.metric_block() == t4_form():
         raise WrongTBlock("cubic block is not in the standard position")
-    a = sf.wskew_block().to_form()
-    split = symplectic_split(a)
+    split = symplectic_split(sf.wskew_block())
     q = q_form(split.theta)
     theta13 = -q / 2
     nvars = _coeff_ring_size(sf.form)

@@ -17,7 +17,7 @@ from .bridge import StructureForm
 from .errors import DimensionMismatch, PoleError
 from .forms import contract_bivector
 from .linalg import Matrix, rank_and_left_nullvector
-from .poly import Poly, RatFunc, exact_div, divides, lift
+from .poly import Poly, RatFunc, lift
 from .sampling import _Vals, _first_failures, _residue_points
 
 
@@ -65,7 +65,7 @@ def plucker_coords(pair, point=None) -> dict:
     return _line_minors(uu + [one, zero], vv + [zero, one])
 
 
-def plucker_homogeneous(pair, reduce_common: bool = False) -> dict:
+def plucker_homogeneous(pair) -> dict:
     """Polynomial Pluecker coordinates from the pair's cleared flux.
 
     Works with the homogenizing variable N+1; extra ring variables past
@@ -74,8 +74,7 @@ def plucker_homogeneous(pair, reduce_common: bool = False) -> dict:
     numerators adj(g) w over Pf(g), is homogenized in slot N+1 to degree
     N/2 (or its field degree, if higher), so the spanning points
     (u, u^{N+1}, 0) and (hom n, 0, hom Pf) make every coordinate a
-    polynomial.  With reduce_common=True each coordinate is divided by
-    the homogenizing variable, which must divide exactly (it does for N=4).
+    polynomial.
     """
     N = pair.N
     nvars = pair.nvars if pair.nvars > N else N + 1
@@ -90,16 +89,7 @@ def plucker_homogeneous(pair, reduce_common: bool = False) -> dict:
 
     pvec = [Poly.var(nvars, i) for i in range(1, N + 2)] + [Poly.zero(nvars)]
     qvec = [hom(q) for q in nums] + [Poly.zero(nvars), hom(pf)]
-    out = _line_minors(pvec, qvec)
-    if reduce_common:
-        h = Poly.var(nvars, N + 1)
-        reduced = {}
-        for key, c in out.items():
-            if not divides(h, c):
-                raise ValueError("coordinate %r lacks the common factor" % (key,))
-            reduced[key] = exact_div(c, h)
-        out = reduced
-    return out
+    return _line_minors(pvec, qvec)
 
 
 def grassmann_check(p: dict, dim: int) -> dict:

@@ -1,12 +1,13 @@
 """Alternating forms with exact coefficients.
 
 A form of degree k on a dim-dimensional space stores one coefficient per
-strictly increasing index tuple (1-based).  Coefficients may be Fraction
-or RatFunc; an accessor with indices in arbitrary order applies the
+strictly increasing index tuple (1-based).  Coefficients are Fraction,
+Poly or RatFunc; an accessor with indices in arbitrary order applies the
 permutation sign.  Degrees 1..3 cover all stored data; degree 4 appears
-only as a wedge result.
+only as a wedge result.  `skew.SkewMatrix` is the degree-2 `AltForm`
+read as an antisymmetric matrix; sums, negatives, multiples and
+`map_coeffs` of a SkewMatrix are again SkewMatrix.
 """
-
 from __future__ import annotations
 
 from fractions import Fraction
@@ -92,6 +93,12 @@ class AltForm:
     def sorted_items(self):
         return sorted(self.comps.items())
 
+    def _like(self, comps: dict) -> "AltForm":
+        """A form of this type, degree and dimension with cleaned comps."""
+        out = type(self).__new__(type(self))
+        out.degree, out.dim, out.comps = self.degree, self.dim, comps
+        return out
+
     def _check_same(self, other: "AltForm"):
         if self.degree != other.degree or self.dim != other.dim:
             raise DimensionMismatch("forms of different degree or dimension")
@@ -108,15 +115,10 @@ class AltForm:
                 comps[k] = s
             else:
                 comps.pop(k, None)
-        out = AltForm.__new__(AltForm)
-        out.degree, out.dim, out.comps = self.degree, self.dim, comps
-        return out
+        return self._like(comps)
 
     def __neg__(self):
-        out = AltForm.__new__(AltForm)
-        out.degree, out.dim = self.degree, self.dim
-        out.comps = {k: -c for k, c in self.comps.items()}
-        return out
+        return self._like({k: -c for k, c in self.comps.items()})
 
     def __sub__(self, other):
         if not isinstance(other, AltForm):
@@ -126,10 +128,7 @@ class AltForm:
     def scale(self, c) -> "AltForm":
         if isinstance(c, int):
             c = Fraction(c)
-        out = AltForm.__new__(AltForm)
-        out.degree, out.dim = self.degree, self.dim
-        out.comps = {k: v * c for k, v in self.comps.items()} if c else {}
-        return out
+        return self._like({k: v * c for k, v in self.comps.items()} if c else {})
 
     def __eq__(self, other):
         if not isinstance(other, AltForm):
@@ -149,9 +148,7 @@ class AltForm:
             v = fn(c)
             if v:
                 comps[k] = v
-        out = AltForm.__new__(AltForm)
-        out.degree, out.dim, out.comps = self.degree, self.dim, comps
-        return out
+        return self._like(comps)
 
     def format(self, names=None) -> str:
         if not self.comps:

@@ -1,4 +1,9 @@
-"""Small exact matrices over Q or over a rational-function field."""
+"""Small dense exact matrices over Q or over a rational-function field.
+
+Entries are Fraction or RatFunc; a Poly entry is held only for display
+and lifted to RatFunc before elimination.  Antisymmetric data lives in
+`skew.SkewMatrix`, the degree-2 `AltForm`, not here.
+"""
 
 from __future__ import annotations
 
@@ -9,7 +14,7 @@ from .poly import RatFunc, as_fraction
 
 
 class Matrix:
-    """Immutable dense matrix; entries are Fraction or RatFunc."""
+    """Immutable dense matrix; entries are Fraction, RatFunc or Poly."""
 
     __slots__ = ("rows",)
 

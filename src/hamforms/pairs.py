@@ -129,7 +129,7 @@ def _data_blocks(mcubic: AltForm, mconst: SkewMatrix, nvars: int) -> tuple:
     """The two metric blocks with every entry coerced by _data_entry."""
     n = mconst.n
     return (mcubic.map_coeffs(lambda c: _data_entry(c, nvars, n, "three-form")),
-            mconst.map_entries(lambda c: _data_entry(c, nvars, n, "constant metric part")))
+            mconst.map_coeffs(lambda c: _data_entry(c, nvars, n, "constant metric part")))
 
 
 class HamPair:
@@ -165,7 +165,7 @@ class HamPair:
         self.N = N
         self.nvars = nvars
         self.mcubic, self.mconst = _data_blocks(mcubic, mconst, nvars)
-        self.wskew = wskew.map_entries(
+        self.wskew = wskew.map_coeffs(
             lambda c: _data_entry(c, nvars, N, "skew covector part"))
         self.wconst = tuple(_data_entry(b, nvars, N, "constant covector part") for b in wconst)
         self.metric = build_metric(self.mcubic, self.mconst, nvars)
@@ -214,7 +214,7 @@ class HamPair:
         return "HamPair(N=%d, nvars=%d)" % (self.N, self.nvars)
 
     @classmethod
-    def random(cls, rng: Lcg, N: int, nvars=None, allow_null: bool = False) -> "HamPair":
+    def random(cls, rng: Lcg, N: int, nvars=None) -> "HamPair":
         """Random pair with nondegenerate metric and nontrivial covector."""
         while True:
             mcubic = random_three_form(rng, N, max_num=3)
@@ -223,7 +223,7 @@ class HamPair:
                 continue
             wskew = random_skew(rng, N, max_num=3)
             wconst = random_vector(rng, N, max_num=3)
-            if not allow_null and wskew.is_zero() and not any(wconst):
+            if wskew.is_zero() and not any(wconst):
                 continue
             return cls(mcubic, mconst, wskew, wconst, nvars=nvars)
 

@@ -143,8 +143,8 @@ def pair_to_dict(pair: HamPair) -> dict:
     return {
         "N": n,
         "T": form_to_dict(pair.mcubic),
-        "g0": form_to_dict(pair.mconst.to_form()),
-        "A": form_to_dict(pair.wskew.to_form()),
+        "g0": form_to_dict(pair.mconst),
+        "A": form_to_dict(pair.wskew),
         "B": [rational_to_str(b) for b in pair.wconst],
     }
 

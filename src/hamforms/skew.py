@@ -2,8 +2,9 @@
 
 The leading coefficient of every operator handled here is antisymmetric,
 so determinants factor as squares of Pfaffians and inverses divide by a
-single Pfaffian instead of a determinant.  Entries are Fraction or
-RatFunc; everything is exact.
+single Pfaffian instead of a determinant.  A `SkewMatrix` is the
+degree-2 `AltForm`: the same sparse signed storage and arithmetic, read
+as a matrix.  Entries are Fraction, Poly or RatFunc; everything is exact.
 """
 
 from __future__ import annotations
@@ -15,13 +16,14 @@ from .forms import AltForm
 from .linalg import Matrix
 
 
-class SkewMatrix:
-    """n x n antisymmetric matrix stored by strictly upper entries."""
+class SkewMatrix(AltForm):
+    """n x n antisymmetric matrix: the two-form on n coordinates, stored
+    by its strictly upper entries.  Unlike `AltForm`, a nonzero diagonal
+    entry is an error rather than dropped."""
 
-    __slots__ = ("n", "upper")
+    __slots__ = ()
 
     def __init__(self, n: int, upper=None):
-        self.n = n
         clean = {}
         if upper:
             for (i, j), v in upper.items():
@@ -42,15 +44,17 @@ class SkewMatrix:
                     clean[(i, j)] = v
                 else:
                     clean.pop((i, j), None)
-        self.upper = clean
+        self.degree, self.dim, self.comps = 2, n, clean
 
     @property
-    def dim(self) -> int:
-        return self.n
+    def n(self) -> int:
+        return self.dim
 
     @property
-    def entries(self) -> dict:
-        return self.upper
+    def upper(self) -> dict:
+        return self.comps
+
+    entries = upper
 
     @classmethod
     def zero(cls, n: int) -> "SkewMatrix":
@@ -95,63 +99,6 @@ class SkewMatrix:
         v = self.upper.get((j, i))
         return Fraction(0) if v is None else -v
 
-    def is_zero(self) -> bool:
-        return not self.upper
-
-    def __add__(self, other):
-        if not isinstance(other, SkewMatrix) or other.n != self.n:
-            return NotImplemented
-        upper = dict(self.upper)
-        for k, v in other.upper.items():
-            s = upper.get(k)
-            s = v if s is None else s + v
-            if s:
-                upper[k] = s
-            else:
-                upper.pop(k, None)
-        out = SkewMatrix.__new__(SkewMatrix)
-        out.n, out.upper = self.n, upper
-        return out
-
-    def __neg__(self):
-        out = SkewMatrix.__new__(SkewMatrix)
-        out.n = self.n
-        out.upper = {k: -v for k, v in self.upper.items()}
-        return out
-
-    def __sub__(self, other):
-        if not isinstance(other, SkewMatrix):
-            return NotImplemented
-        return self + (-other)
-
-    def scale(self, c) -> "SkewMatrix":
-        if isinstance(c, int):
-            c = Fraction(c)
-        out = SkewMatrix.__new__(SkewMatrix)
-        out.n = self.n
-        out.upper = {k: v * c for k, v in self.upper.items()} if c else {}
-        return out
-
-    def __eq__(self, other):
-        if not isinstance(other, SkewMatrix):
-            return NotImplemented
-        if self.n != other.n or set(self.upper) != set(other.upper):
-            return False
-        return all(self.upper[k] == other.upper[k] for k in self.upper)
-
-    def __hash__(self):
-        return hash((self.n, frozenset(self.upper)))
-
-    def map_entries(self, fn) -> "SkewMatrix":
-        upper = {}
-        for k, v in self.upper.items():
-            w = fn(v)
-            if w:
-                upper[k] = w
-        out = SkewMatrix.__new__(SkewMatrix)
-        out.n, out.upper = self.n, upper
-        return out
-
     def apply(self, vec) -> tuple:
         """Matrix-vector product S v."""
         vec = list(vec)
@@ -167,27 +114,15 @@ class SkewMatrix:
         return "SkewMatrix(%d, %r)" % (self.n, self.upper)
 
 
-def _as_upper(s) -> tuple:
-    """Coerce SkewMatrix / Matrix / rows to (n, upper-lookup fn)."""
-    if isinstance(s, SkewMatrix):
-        return s.n, s.get
-    if isinstance(s, Matrix):
-        s = SkewMatrix.from_rows(s.rows)
-        return s.n, s.get
-    s = SkewMatrix.from_rows(s)
-    return s.n, s.get
+def pfaffian(s: SkewMatrix):
+    """Pfaffian of a SkewMatrix, normalised so that Pf([[0, 1], [-1, 0]]) = 1.
 
-
-def pfaffian(s):
-    """Pfaffian, normalised so that Pf([[0, 1], [-1, 0]]) = 1.
-
-    Expansion along the first remaining row; division-free, so RatFunc
-    entries stay polynomial when the input is polynomial.
+    Expansion along the first remaining row; division-free, so Poly
+    entries give a Poly.
     """
-    n, get = _as_upper(s)
-    if n % 2:
+    if s.n % 2:
         raise OddDimension("pfaffian needs an even-dimensional matrix")
-    return _pf(get, tuple(range(1, n + 1)))
+    return _pf(s.get, tuple(range(1, s.n + 1)))
 
 
 def _pf(get, idx: tuple):
@@ -210,13 +145,13 @@ def _pf(get, idx: tuple):
     return Fraction(0) if total is None else total
 
 
-def pfaffian_adjugate(s) -> SkewMatrix:
-    """Skew matrix S# with S S# = Pf(S) I.
+def pfaffian_adjugate(s: SkewMatrix) -> SkewMatrix:
+    """The SkewMatrix S# with S S# = Pf(S) I, for a SkewMatrix S.
 
     Entry (i, j), i < j, is (-1)^(i+j) times the Pfaffian of S with rows
     and columns i and j removed.
     """
-    n, get = _as_upper(s)
+    n = s.n
     if n % 2:
         raise OddDimension("pfaffian adjugate needs an even-dimensional matrix")
     upper = {}
@@ -224,7 +159,7 @@ def pfaffian_adjugate(s) -> SkewMatrix:
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):
             sub = tuple(k for k in full if k != i and k != j)
-            c = _pf(get, sub)
+            c = _pf(s.get, sub)
             if not c:
                 continue
             if (i + j) % 2:
@@ -233,12 +168,9 @@ def pfaffian_adjugate(s) -> SkewMatrix:
     return SkewMatrix(n, upper)
 
 
-def skew_inverse(s) -> SkewMatrix:
-    """Inverse of an invertible skew matrix, as S# / Pf(S)."""
-    if not isinstance(s, SkewMatrix):
-        s = SkewMatrix.from_rows(s.rows if isinstance(s, Matrix) else s)
+def skew_inverse(s: SkewMatrix) -> SkewMatrix:
+    """Inverse of an invertible SkewMatrix, as S# / Pf(S)."""
     pf = pfaffian(s)
     if not pf:
         raise SingularMatrix("skew matrix has zero pfaffian")
-    adj = pfaffian_adjugate(s)
-    return adj.map_entries(lambda v: v / pf)
+    return pfaffian_adjugate(s).map_coeffs(lambda v: v / pf)

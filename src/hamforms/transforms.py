@@ -44,29 +44,25 @@ class ProjectiveMap:
     def identity(cls, N: int) -> "ProjectiveMap":
         return cls(Matrix.identity(N + 1))
 
-    def denominator(self, nvars: int) -> RatFunc:
-        """A(u) = a[N+1,l] u^l + a[N+1,N+1] in a ring of size nvars."""
+    def row(self, i: int, nvars: int) -> Poly:
+        """Row i (0-based) applied to (u, 1): a[i,l] u^l + a[i,N+1]."""
         n = self.N
-        p = Poly.const(nvars, self.a[n, n])
+        p = Poly.const(nvars, self.a[i, n])
         for l in range(n):
-            c = self.a[n, l]
+            c = self.a[i, l]
             if c:
                 p = p + Poly.var(nvars, l + 1) * c
-        return RatFunc(p, reduce=False)
+        return p
+
+    def denominator(self, nvars: int) -> RatFunc:
+        """A(u), the last row applied to (u, 1), in a ring of size nvars."""
+        return RatFunc(self.row(self.N, nvars), reduce=False)
 
     def components(self, nvars: int) -> list:
         """The N image components as rational functions of the fields."""
-        n = self.N
         den = self.denominator(nvars)
-        out = []
-        for i in range(n):
-            p = Poly.const(nvars, self.a[i, n])
-            for l in range(n):
-                c = self.a[i, l]
-                if c:
-                    p = p + Poly.var(nvars, l + 1) * c
-            out.append(RatFunc(p, reduce=False) / den)
-        return out
+        return [RatFunc(self.row(i, nvars), reduce=False) / den
+                for i in range(self.N)]
 
     def __repr__(self):
         return "ProjectiveMap(%r)" % (self.a,)
@@ -167,15 +163,8 @@ def conformal_check(pair: HamPair, new_pair: HamPair, phi: ProjectiveMap) -> boo
     rational-function reduction is ever needed.
     """
     n, nv = pair.N, pair.nvars
-    den = phi.denominator(nv).num
-    nums = []
-    for i in range(n):
-        p = Poly.const(nv, phi.a[i, n])
-        for l in range(n):
-            c = phi.a[i, l]
-            if c:
-                p = p + Poly.var(nv, l + 1) * c
-        nums.append(p)
+    den = phi.row(n, nv)
+    nums = [phi.row(i, nv) for i in range(n)]
 
     def substituted(f):
         # A * (f composed with the point map); metric entries are affine

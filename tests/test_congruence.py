@@ -33,6 +33,7 @@ from hamforms import (
     rhs_covector,
     sign_normalize_rows,
 )
+from hamforms.poly import exact_div
 
 from helpers import (
     N2_SYM,
@@ -221,8 +222,8 @@ def test_homogeneous_two_fields_pinned():
 def test_homogeneous_reduction():
     pair = generic_pair_n2()
     full = plucker_homogeneous(pair)
-    red = plucker_homogeneous(pair, reduce_common=True)
     u3 = Poly.var(N2_VARS, 3)
+    red = {key: exact_div(val, u3) for key, val in full.items()}
     for key, val in full.items():
         assert val == red[key] * u3
 
@@ -357,9 +358,10 @@ def _param_coefficient(poly, diffs):
 
 def test_homogeneous_four_fields_spot_coefficients():
     pair = generic_pair_n4()
-    red = plucker_homogeneous(pair, reduce_common=True)
-    p12 = red[(1, 2)]
     nv = N4_VARS
+    h = Poly.var(nv, 5)
+    red = {key: exact_div(val, h) for key, val in plucker_homogeneous(pair).items()}
+    p12 = red[(1, 2)]
     g13 = sym(nv, N4_G0[(1, 3)])
     g14 = sym(nv, N4_G0[(1, 4)])
     g23 = sym(nv, N4_G0[(2, 3)])

@@ -9,6 +9,7 @@ from fractions import Fraction
 import pytest
 
 from hamforms import (
+    AltForm,
     Lcg,
     Matrix,
     OddDimension,
@@ -18,6 +19,8 @@ from hamforms import (
     pfaffian,
     pfaffian_adjugate,
     skew_inverse,
+    pullback_linear,
+    wedge,
 )
 
 
@@ -133,3 +136,36 @@ def test_apply():
 def test_from_rows_validates():
     m = Matrix.from_strings([["0", "5"], ["-5", "0"]])
     assert SkewMatrix.from_rows(m.rows).get(1, 2) == 5
+
+
+def test_skew_matrix_is_the_two_form():
+    rng = Lcg(23)
+    s = random_skew(rng, 4)
+    t = random_skew(rng, 4)
+    form = AltForm(2, 4, dict(s.upper))
+    assert isinstance(s, AltForm)
+    assert s == form and form == s and hash(s) == hash(form)
+    assert s != t
+    # Pf(S) is half the top coefficient of S ^ S
+    assert wedge(s, s).get(1, 2, 3, 4) == 2 * pfaffian(s)
+    # the pullback of S along m is m^T S m
+    m = Matrix([[rng.fraction() for _ in range(3)] for _ in range(4)])
+    pulled = SkewMatrix.from_form(pullback_linear(s, m))
+    assert pulled.to_matrix() == m.transpose() @ s.to_matrix() @ m
+    results = {
+        "sum": (s + t, lambda i, j: s.get(i, j) + t.get(i, j)),
+        "difference": (s - t, lambda i, j: s.get(i, j) - t.get(i, j)),
+        "negation": (-s, lambda i, j: -s.get(i, j)),
+        "scale": (s.scale(3), lambda i, j: 3 * s.get(i, j)),
+        "map_coeffs": (s.map_coeffs(lambda c: c * c),
+                       lambda i, j: s.get(min(i, j), max(i, j)) ** 2),
+    }
+    for name, (out, entry) in results.items():
+        assert type(out) is SkewMatrix, name
+        assert all(out.get(i, j) == entry(i, j)
+                   for i in range(1, 5) for j in range(1, 5) if i < j), name
+    with pytest.raises(ValueError):
+        SkewMatrix(3, {(2, 2): Fraction(1)})
+    with pytest.raises(ValueError):
+        SkewMatrix(3, {(1, 4): Fraction(1)})
+    assert SkewMatrix(3, {(2, 2): Fraction(0)}).is_zero()
