@@ -34,7 +34,7 @@ from .congruence import (
 from .classify import (
     SymplecticSplit, ClassificationResult, symplectic_split, q_form,
     classify_n2, classify_n4, canonical_n2_pair, canonical_n4_pair,
-    canonical_form_n2, eta_form, eta_matrix, t4_form,
+    canonical_form_n2, eta_matrix, t4_form,
     system_coefficients, format_system, stabilizer_audit, sp4_basis,
 )
 from .transforms import (
@@ -67,7 +67,7 @@ __all__ = [
     "congruence_checks", "pair_columns", "sign_normalize_rows",
     "SymplecticSplit", "ClassificationResult", "symplectic_split",
     "q_form", "classify_n2", "classify_n4", "canonical_n2_pair",
-    "canonical_n4_pair", "canonical_form_n2", "eta_form", "eta_matrix",
+    "canonical_n4_pair", "canonical_form_n2", "eta_matrix",
     "t4_form", "system_coefficients", "format_system",
     "stabilizer_audit", "sp4_basis",
     "ProjectiveMap", "ReciprocalMap", "apply_projective",

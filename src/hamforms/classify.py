@@ -29,9 +29,6 @@ def eta_matrix() -> SkewMatrix:
     return SkewMatrix(4, {(1, 2): Fraction(1), (3, 4): Fraction(1)})
 
 
-eta_form = eta_matrix
-
-
 def eta_gram() -> Matrix:
     """The same form as a dense matrix, for building transvections."""
     return eta_matrix().to_matrix()
@@ -68,7 +65,7 @@ class SymplecticSplit:
         }
 
     def reconstruct(self) -> AltForm:
-        return eta_form().scale(self.theta_eta) + self.theta
+        return eta_matrix().scale(self.theta_eta) + self.theta
 
     def __repr__(self):
         return "SymplecticSplit(theta_eta=%r, theta=%r)" % (self.theta_eta, self.theta)
@@ -83,7 +80,7 @@ def symplectic_split(a) -> SymplecticSplit:
     """
     if a.degree != 2 or a.dim != 4:
         raise DimensionMismatch("splitting needs a two-form on four coordinates")
-    eta = eta_form()
+    eta = eta_matrix()
     num = wedge(a, eta).get(*TOP4)
     den = wedge(eta, eta).get(*TOP4)  # = 2
     theta_eta = num / den
@@ -100,7 +97,7 @@ def q_form(theta):
     """
     if theta.degree != 2 or theta.dim != 4:
         raise DimensionMismatch("the quadric takes a two-form on four coordinates")
-    trace = wedge(eta_form(), theta)
+    trace = wedge(eta_matrix(), theta)
     if not trace.is_zero():
         raise NotInThetaEta("the form has a nonzero component along eta")
     return wedge(theta, theta).get(*TOP4)

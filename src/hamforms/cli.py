@@ -18,18 +18,27 @@ the prime 2^61-1 and record the Schwartz-Zippel bound of the run in the
 "mode" object.  The other commands only run symbolic checks and reject
 --sample.
 
+--symbolic above N = 6 and audit field counts above 64 exit with code 2:
+those runs take minutes or more.
+
+Every subcommand builds one JSON report, and --format renders it: json
+is the report with sorted keys; text is one "path: value" line per
+scalar in the same key order, a nested key written a.b and a list item
+a[i]; csv is the coefficient table for congruence (header row,p12,...,
+one row per du_i) and "key,value" rows of the text's scalars otherwise.
+
 Exit codes: 0 all checks pass, 1 a verification check fails, 2 input or
-usage error.  Output is deterministic for fixed inputs and seed: JSON
-is emitted with sorted keys, reports carry no timestamps, and every
-check records whether it ran symbolically or on sampled points along
-with the seed.  compose and decompose write the produced file format
-itself in JSON mode so runs can be chained; transform reports carry the
-transformed pair under the "pair" key.
+usage error.  Output is deterministic for fixed inputs and seed: reports
+carry no timestamps, and every check records whether it ran symbolically
+or on sampled points along with the seed.  compose and decompose report
+the produced file format itself so runs can be chained; transform
+reports carry the transformed pair under the "pair" key.
 """
 
 import argparse
 import csv
 import io
+import json
 import math
 import sys
 from fractions import Fraction
@@ -50,6 +59,10 @@ from .serialize import (rational_to_str, rational_from_str, load_json,
 __all__ = ["main"]
 
 _DEFAULT_SAMPLES = 20
+# a symbolic proof above this many fields runs for minutes
+_SYMBOLIC_MAX_N = 6
+# layout(N) lists all C(N+2, 3) triples, so audit time grows as N^3
+_AUDIT_MAX_N = 64
 
 
 # -- shared plumbing ---------------------------------------------------
@@ -63,7 +76,8 @@ def _scalar_str(v) -> str:
 def _mode_of(args, n=None) -> dict:
     """Check mode of a run that may sample at n fields; n is None where
     nothing is sampled.  With neither --symbolic nor --sample the mode is
-    the one `auto_mode(n)` names."""
+    the one `auto_mode(n)` names; --symbolic above _SYMBOLIC_MAX_N fields
+    is refused."""
     sample = args.sample
     if sample is not None and sample < 1:
         raise ValidationError("--sample count must be at least 1")
@@ -71,6 +85,10 @@ def _mode_of(args, n=None) -> dict:
             and auto_mode(n) == "sampled"):
         sample = _DEFAULT_SAMPLES
     if n is not None and args.symbolic and auto_mode(n) == "sampled":
+        if n > _SYMBOLIC_MAX_N:
+            raise ValidationError(
+                "--symbolic at N = %d runs for minutes or longer; "
+                "--sample <n> tests n random points" % n)
         print("note: --symbolic at N = %d overrides the sampled default and "
               "can take long; --sample <n> tests n random points" % n,
               file=sys.stderr)
@@ -93,51 +111,58 @@ def _bound_str(b: Fraction) -> str:
     return "%d.%02de%d" % (m // 100, m % 100, e)
 
 
-def _add_bound(mode, rep, lines) -> None:
-    """Record the bound of a sampled check report `rep` in the mode object
-    and as one text line."""
-    if mode["kind"] != "sampled":
-        return
-    mode.update(modulus=rep["modulus"], degree=rep["degree"],
-                points=rep["points"], bound=_bound_str(rep["bound"]))
-    lines.append("sampled mod %d: a nonzero residual (degree <= %d) "
-                 "vanishes at all %d points with probability <= %s"
-                 % (mode["modulus"], mode["degree"], mode["points"],
-                    mode["bound"]))
+def _add_bound(mode, rep) -> None:
+    """Record the bound of a sampled check report `rep` in the mode
+    object: a nonzero residual of degree <= `degree` vanishes at all
+    `points` residues modulo `modulus` with probability <= `bound`."""
+    if mode["kind"] == "sampled":
+        mode.update(modulus=rep["modulus"], degree=rep["degree"],
+                    points=rep["points"], bound=_bound_str(rep["bound"]))
 
 
 def _check(name, ok, provenance, residuals=None) -> dict:
-    return {
-        "name": name,
-        "status": "pass" if ok else "fail",
-        "provenance": provenance,
-        "residuals": residuals if residuals is not None else {},
-    }
+    return {"name": name, "status": "pass" if ok else "fail",
+            "provenance": provenance, "residuals": residuals or {}}
 
 
 def _report(command, inputs, mode, checks, **payload) -> dict:
-    out = {
-        "command": command,
-        "inputs": inputs,
-        "mode": mode,
-        "checks": checks,
-        "ok": all(c["status"] == "pass" for c in checks),
-    }
-    out.update(payload)
-    return out
+    ok = all(c["status"] == "pass" for c in checks)
+    return dict(payload, command=command, inputs=inputs, mode=mode,
+                checks=checks, ok=ok)
 
 
-def _emit(args, payload, text_lines, csv_rows) -> None:
+def _scalars(value, path=""):
+    """(path, text) for every scalar of a JSON value in sorted-key order;
+    an empty object or list counts as one scalar."""
+    if isinstance(value, dict) and value:
+        for key in sorted(value):
+            yield from _scalars(value[key], "%s.%s" % (path, key) if path
+                                else key)
+    elif isinstance(value, list) and value:
+        for i, item in enumerate(value):
+            yield from _scalars(item, "%s[%d]" % (path, i))
+    else:
+        yield path, value if isinstance(value, str) else json.dumps(value)
+
+
+def _emit(args, payload, table=None) -> None:
+    """Render the report in the asked format; `table` is the command's
+    coefficient table, the CSV rendering where there is one."""
     if args.format == "json":
         body = dump_json(payload)
-    elif args.format == "csv":
+    elif args.format == "text":
+        body = "".join("%s: %s\n" % kv for kv in _scalars(payload))
+    else:
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
-        for row in csv_rows:
-            writer.writerow(row)
+        if table is None:
+            writer.writerow(["key", "value"])
+            writer.writerows(_scalars(payload))
+        else:
+            writer.writerow(["row"] + table["columns"])
+            writer.writerows([name] + entries for name, entries
+                             in zip(table["rows"], table["entries"]))
         body = buf.getvalue()
-    else:
-        body = "\n".join(text_lines) + "\n"
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fp:
             fp.write(body)
@@ -145,52 +170,13 @@ def _emit(args, payload, text_lines, csv_rows) -> None:
         sys.stdout.write(body)
 
 
-def _checks_csv(checks) -> list:
-    rows = [["check", "status", "provenance"]]
-    for c in checks:
-        rows.append([c["name"], c["status"], c["provenance"]])
-    return rows
-
-
-def _pair_text(pair) -> list:
-    lines = ["N = %d" % pair.N]
-    cubic = pair.mcubic.sorted_items()
-    lines.append("T: %s" % (pair.mcubic.format() if cubic else "0"))
-    lines.append("g0: %s" % _skew_text(pair.mconst))
-    lines.append("A: %s" % _skew_text(pair.wskew))
-    lines.append("B: (%s)" % ", ".join(_scalar_str(b) for b in pair.wconst))
-    return lines
-
-
-def _skew_text(s) -> str:
-    parts = ["[%d,%d] %s" % (i, j, _scalar_str(v))
-             for (i, j), v in sorted(s.upper.items()) if v]
-    return "; ".join(parts) if parts else "0"
-
-
-def _omega_text(sf) -> list:
-    lines = ["N = %d (form on %d coordinates)" % (sf.N, sf.N + 2)]
-    for idx, c in sf.form.sorted_items():
-        lines.append("du%s: %s" % ("^du".join(str(i) for i in idx),
-                                   _scalar_str(c)))
-    return lines
-
-
 # -- subcommands -------------------------------------------------------
 
 def cmd_compose(args) -> int:
     pair = pair_from_dict(load_json(args.pair), where=args.pair)
     sf = form_from_pair(pair)
-    back = pair_from_form(sf)
-    ok = back == pair
-    payload = omega_to_dict(sf)
-    lines = _omega_text(sf)
-    lines.append("round trip through the block decomposition: %s"
-                 % ("ok" if ok else "FAILED"))
-    rows = [["idx", "coeff"]]
-    for t in payload["terms"]:
-        rows.append([" ".join(str(i) for i in t["idx"]), t["coeff"]])
-    _emit(args, payload, lines, rows)
+    ok = pair_from_form(sf) == pair
+    _emit(args, omega_to_dict(sf))
     return 0 if ok else 1
 
 
@@ -198,23 +184,11 @@ def cmd_decompose(args) -> int:
     sf = omega_from_dict(load_json(args.omega), where=args.omega)
     pair = pair_from_form(sf)
     ok = form_from_pair(pair).form == sf.form
-    payload = pair_to_dict(pair)
-    lines = _pair_text(pair)
-    lines.append("round trip through the reassembled form: %s"
-                 % ("ok" if ok else "FAILED"))
-    rows = [["block", "entry", "value"]]
-    for t in payload["T"]["terms"]:
-        rows.append(["T", " ".join(str(i) for i in t["idx"]), t["coeff"]])
-    for key in ("g0", "A"):
-        for t in payload[key]["terms"]:
-            rows.append([key, " ".join(str(i) for i in t["idx"]), t["coeff"]])
-    for k, b in enumerate(payload["B"], start=1):
-        rows.append(["B", str(k), b])
-    _emit(args, payload, lines, rows)
+    _emit(args, pair_to_dict(pair))
     return 0 if ok else 1
 
 
-def _residual_json(res, mode) -> dict:
+def _residual_json(res) -> dict:
     out = {}
     for key, val in sorted(res.items(), key=lambda kv: str(kv[0])):
         name = ",".join(str(k) for k in key) if isinstance(key, tuple) else str(key)
@@ -236,27 +210,19 @@ def cmd_verify(args) -> int:
     checks = [
         _check("first-order compatibility (%d combinations)" % n1,
                not rep["first_order"], rep["mode"],
-               _residual_json(rep["first_order"], rep["mode"])),
+               _residual_json(rep["first_order"])),
         _check("second-order compatibility (%d combinations)" % n2,
                not rep["second_order"], rep["mode"],
-               _residual_json(rep["second_order"], rep["mode"])),
+               _residual_json(rep["second_order"])),
     ]
-    lines = ["verify %s" % args.pair, "mode: %s (seed %d)"
-             % (mode["kind"], mode["seed"])]
-    _add_bound(mode, rep, lines)
+    _add_bound(mode, rep)
     payload = _report("verify", {"pair": args.pair}, mode, checks)
-    for c in checks:
-        lines.append("%s: %s" % (c["name"], c["status"]))
-        for key, val in c["residuals"].items():
-            lines.append("  residual at (%s): %s" % (key, val))
-    _emit(args, payload, lines, _checks_csv(checks))
+    _emit(args, payload)
     return 0 if payload["ok"] else 1
 
 
 def _column_label(j, k, dim) -> str:
-    if dim <= 9:
-        return "p%d%d" % (j, k)
-    return "p%d_%d" % (j, k)
+    return ("p%d%d" if dim <= 9 else "p%d_%d") % (j, k)
 
 
 def _equation_strings(m, dim) -> list:
@@ -297,10 +263,10 @@ def cmd_congruence(args) -> int:
     checks = [
         _check("annihilation of the line coordinates" + suffix,
                not rep["annihilation"], rep["mode"],
-               _residual_json(rep["annihilation"], rep["mode"])),
+               _residual_json(rep["annihilation"])),
         _check("quadric relations of the line coordinates" + suffix,
                not rep["quadrics"], rep["mode"],
-               _residual_json(rep["quadrics"], rep["mode"])),
+               _residual_json(rep["quadrics"])),
     ]
 
     cols = pair_columns(dim)
@@ -317,29 +283,12 @@ def cmd_congruence(args) -> int:
         "certificate": ([_scalar_str(v) for v in rank_info["certificate"]]
                         if rank_info["certificate"] is not None else None),
     }
+    _add_bound(mode, rep)
     payload = _report("congruence", {"pair": args.pair}, mode, checks,
                       table=table, rank=rank_payload)
-    equations = _equation_strings(m, dim)
     if args.table:
-        payload["equations"] = equations
-
-    lines = ["congruence %s" % args.pair]
-    lines.extend(equations)
-    lines.append("rank: %d of %d rows (%s)"
-                 % (rank_payload["rank"], rank_payload["rows"],
-                    "dependent" if rank_payload["dependent"]
-                    else "independent"))
-    if rank_payload["certificate"] is not None:
-        lines.append("certificate: (%s)"
-                     % ", ".join(rank_payload["certificate"]))
-    _add_bound(mode, rep, lines)
-    for c in checks:
-        lines.append("%s: %s" % (c["name"], c["status"]))
-
-    rows = [["row"] + table["columns"]]
-    for name, entries in zip(table["rows"], table["entries"]):
-        rows.append([name] + entries)
-    _emit(args, payload, lines, rows)
+        payload["equations"] = _equation_strings(m, dim)
+    _emit(args, payload, table)
     return 0 if payload["ok"] else 1
 
 
@@ -371,17 +320,7 @@ def cmd_classify(args) -> int:
                       N=sf.N, invariants=invariants,
                       canonical=omega_to_dict(result.canonical_form),
                       system=system, log=log)
-    lines = ["classify %s" % args.omega, "N = %d" % sf.N]
-    for k, v in sorted(invariants.items()):
-        lines.append("%s = %s" % (k, v))
-    lines.append("canonical system:")
-    lines.extend("  " + eq for eq in system)
-    lines.append("canonical form:")
-    lines.extend("  " + l for l in _omega_text(result.canonical_form)[1:])
-    rows = [["key", "value"]]
-    rows.extend([k, v] for k, v in sorted(invariants.items()))
-    rows.extend([["equation", eq] for eq in system])
-    _emit(args, payload, lines, rows)
+    _emit(args, payload)
     return 0 if payload["ok"] else 1
 
 
@@ -447,20 +386,15 @@ def cmd_transform(args) -> int:
         rep = check_compat(new_pair, mode=mode["kind"],
                            samples=mode["samples"] or _DEFAULT_SAMPLES,
                            seed=mode["seed"])
+        _add_bound(mode, rep)
         checks.append(_check("transformed pair satisfies the "
                              "compatibility identities",
                              rep["all_zero"], rep["mode"]))
         extra = {"kind": "reciprocal"}
 
-    lines = ["transform (%s) %s" % (extra["kind"], args.pair)]
-    lines.extend(_pair_text(new_pair))
-    for c in checks:
-        lines.append("%s: %s" % (c["name"], c["status"]))
-    if args.reciprocal:
-        _add_bound(mode, rep, lines)
     payload = _report("transform", inputs, mode, checks,
                       pair=pair_to_dict(new_pair), **extra)
-    _emit(args, payload, lines, _checks_csv(checks))
+    _emit(args, payload)
     return 0 if payload["ok"] else 1
 
 
@@ -471,15 +405,14 @@ def cmd_audit(args) -> int:
         raise ValidationError("--dims expects comma-separated integers")
     if not dims:
         raise ValidationError("--dims must name at least one field count")
+    if dims[-1] > _AUDIT_MAX_N:
+        raise ValidationError("--dims: field count %d is above the limit %d"
+                              % (dims[-1], _AUDIT_MAX_N))
     mode = _mode_of(args)
-    checks = []
-    dim_reports = []
-    for n in dims:
-        rep = dimension_audit(n)
-        dim_reports.append(rep)
-        checks.append(_check("block dimensions add up at N=%d "
-                             "(%d coefficients)" % (n, rep["total"]),
-                             rep["ok"], "symbolic"))
+    dim_reports = [dimension_audit(n) for n in dims]
+    checks = [_check("block dimensions add up at N=%d (%d coefficients)"
+                     % (rep["N"], rep["total"]), rep["ok"], "symbolic")
+              for rep in dim_reports]
     stab = stabilizer_audit()
     checks.append(_check("all %d stabilizer directions preserve the "
                          "standard block" % stab["dimension"],
@@ -491,16 +424,7 @@ def cmd_audit(args) -> int:
                          not stab["negative_control_preserved"], "symbolic"))
     payload = _report("audit", {"dims": dims}, mode, checks,
                       dimension=dim_reports, stabilizer=stab)
-    lines = ["audit"]
-    for rep in dim_reports:
-        blocks = ", ".join("%s %d" % (k, v["count"])
-                           for k, v in sorted(rep["blocks"].items()))
-        lines.append("N=%d: %d total = %s (%s)"
-                     % (rep["N"], rep["total"], blocks,
-                        "ok" if rep["ok"] else "FAILED"))
-    for c in checks:
-        lines.append("%s: %s" % (c["name"], c["status"]))
-    _emit(args, payload, lines, _checks_csv(checks))
+    _emit(args, payload)
     return 0 if payload["ok"] else 1
 
 
@@ -522,7 +446,11 @@ def _add_common(sp) -> None:
                     help="seed of the documented linear congruential "
                          "generator (default 1)")
     sp.add_argument("--format", choices=("text", "json", "csv"),
-                    default="text", help="output format (default text)")
+                    default="text",
+                    help="render the JSON report as text (a path: value "
+                         "line per scalar, the default), json (the report "
+                         "itself) or csv (the congruence table, else "
+                         "key,value rows)")
     sp.add_argument("--output", metavar="PATH", default=None,
                     help="write output to PATH instead of stdout")
 
@@ -555,7 +483,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="congruence table, rank, and line checks")
     sp.add_argument("--pair", required=True, metavar="FILE")
     sp.add_argument("--table", action="store_true",
-                    help="include rendered equations in structured output")
+                    help="add the rendered equations to the report under "
+                         "\"equations\", so every format shows them")
     _add_sampling(sp)
     _add_common(sp)
     sp.set_defaults(func=cmd_congruence)

@@ -201,7 +201,7 @@ def wedge(a: AltForm, b: AltForm) -> AltForm:
     return out
 
 
-def contract_bivector(omega: AltForm, p) -> tuple:
+def contract_bivector(omega: AltForm, p: dict) -> tuple:
     """Contract a three-form with an antisymmetric bivector.
 
     `p` maps increasing index pairs (j, k) to scalars; each unordered pair
@@ -211,14 +211,10 @@ def contract_bivector(omega: AltForm, p) -> tuple:
     """
     if omega.degree != 3:
         raise DimensionMismatch("contraction expects a three-form")
-    entries = p.entries if hasattr(p, "entries") else p
-    pdim = p.dim if hasattr(p, "dim") else omega.dim
-    if pdim != omega.dim:
-        raise DimensionMismatch("bivector dimension does not match the form")
     out = []
     for i in range(1, omega.dim + 1):
         total = None
-        for (j, k), v in entries.items():
+        for (j, k), v in p.items():
             if j >= k:
                 raise ValueError("bivector keys must be increasing pairs")
             w = omega.get(i, j, k)

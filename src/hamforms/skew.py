@@ -54,8 +54,6 @@ class SkewMatrix(AltForm):
     def upper(self) -> dict:
         return self.comps
 
-    entries = upper
-
     @classmethod
     def zero(cls, n: int) -> "SkewMatrix":
         return cls(n)

@@ -21,7 +21,6 @@ from hamforms import (
     check_compat,
     classify_n2,
     classify_n4,
-    eta_form,
     eta_matrix,
     form_from_pair,
     format_system,
@@ -37,7 +36,7 @@ from helpers import pairs_equal, random_symplectic
 
 
 def test_split_of_reference_form():
-    s = symplectic_split(eta_form())
+    s = symplectic_split(eta_matrix())
     assert s.theta_eta == 1 and s.theta.is_zero()
 
 

@@ -5,8 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from hamforms import (AltForm, HamPair, SkewMatrix, eta_matrix,
-                      form_from_pair, omega_to_dict)
+from hamforms import (AltForm, HamPair, Lcg, SkewMatrix, eta_matrix,
+                      form_from_pair, omega_to_dict, pair_to_dict)
 from hamforms import cli
 from hamforms.cli import main
 
@@ -42,7 +42,7 @@ def test_verify_sampled(capsys, pair_file):
     code, out, _ = run(capsys, "verify", "--pair", pair_file,
                        "--sample", "5", "--seed", "7")
     assert code == 0
-    assert "seed 7" in out or '"seed": 7' in out
+    assert "mode.seed: 7" in out.splitlines()
 
 
 def test_verify_json_report(capsys, pair_file):
@@ -241,7 +241,8 @@ def test_csv_format(capsys, pair_file):
     code, out, _ = run(capsys, "verify", "--pair", pair_file,
                        "--format", "csv")
     assert code == 0
-    assert out.splitlines()[0] == "check,status,provenance"
+    assert out.splitlines()[0] == "key,value"
+    assert "checks[0].status,pass" in out.splitlines()
 
 
 def test_missing_input_file(capsys, tmp_path):
@@ -336,7 +337,7 @@ def test_six_fields_default_to_sampling(capsys, tmp_path, monkeypatch):
         assert all(c["provenance"] == "sampled" for c in rep["checks"])
         assert all("bound" not in c for c in rep["checks"])
         code, out, _ = run(capsys, *argv)
-        assert sum(line.startswith("sampled mod ")
+        assert sum(line.startswith("mode.bound: ")
                    for line in out.splitlines()) == 1
     assert asked and set(asked) == {"sampled"}
 
@@ -374,6 +375,35 @@ def test_symbolic_above_four_fields_gives_notice(capsys, tmp_path):
         assert "N = 6" in err and "--sample" in err
         for extra in ([], ["--sample", "3"]):
             assert run(capsys, *argv, *extra)[2] == ""
+
+
+def test_symbolic_at_eight_fields_is_refused(capsys, tmp_path, monkeypatch):
+    path = tmp_path / "n8.json"
+    path.write_text(json.dumps(pair_to_dict(HamPair.random(Lcg(5), 8))))
+    rpath = tmp_path / "recip.json"
+    rpath.write_text(json.dumps(
+        {"ax": ["1"] + ["0"] * 7, "ax0": "2", "bt": "1", "bx": ["0"] * 8,
+         "cx": "0", "dt0": "1"}))
+    ran = []
+    monkeypatch.setattr(cli, "check_compat", lambda *a, **k: ran.append(a))
+    monkeypatch.setattr(cli, "congruence_checks",
+                        lambda *a, **k: ran.append(a))
+    for argv in (["verify", "--pair", str(path)],
+                 ["congruence", "--pair", str(path)],
+                 ["transform", "--pair", str(path),
+                  "--reciprocal", str(rpath)]):
+        code, out, err = run(capsys, *argv, "--symbolic")
+        assert code == 2 and out == "", argv
+        assert "N = 8" in err and "--sample" in err
+    assert ran == []
+
+
+def test_audit_rejects_large_field_counts(capsys, monkeypatch):
+    ran = []
+    monkeypatch.setattr(cli, "dimension_audit", ran.append)
+    code, out, err = run(capsys, "audit", "--dims", "2,1000")
+    assert code == 2 and out == "" and ran == []
+    assert err.startswith("error:") and "1000" in err
 
 
 def test_bound_rendering():

@@ -1,4 +1,5 @@
 """Golden CLI outputs: JSON stdout on a fixed input corpus, byte for byte.
+The text and CSV renderings of each case must carry the same scalars.
 
 The inputs and the recorded outputs live in tests/golden/.  Every case
 runs the command line in process from that directory, so the file names
@@ -10,7 +11,9 @@ output change, rewrite the recordings with
 and review the diff of tests/golden/out/.
 """
 
+import csv
 import io
+import json
 import os
 import sys
 from contextlib import redirect_stdout
@@ -49,10 +52,10 @@ for _n in (2, 4):
     })
 
 
-def _run(argv):
+def _run(argv, fmt="json"):
     buf = io.StringIO()
     with redirect_stdout(buf):
-        code = main(argv + ["--format", "json"])
+        code = main(argv + ["--format", fmt])
     return code, buf.getvalue()
 
 
@@ -67,6 +70,40 @@ def test_golden_output(name, monkeypatch):
     assert code == 0
     with open(_path(name), encoding="utf-8") as fp:
         assert out == fp.read()
+
+
+def _leaves(value, path):
+    """[path, text] of every scalar in document order; an empty object or
+    list is one scalar, strings print bare and the rest as JSON."""
+    if isinstance(value, dict) and value:
+        return [leaf for key, item in value.items()
+                for leaf in _leaves(item, path + "." + key if path else key)]
+    if isinstance(value, list) and value:
+        return [leaf for i, item in enumerate(value)
+                for leaf in _leaves(item, "%s[%d]" % (path, i))]
+    return [[path, value if isinstance(value, str) else json.dumps(value)]]
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_text_and_csv_render_the_golden_json(name, monkeypatch):
+    monkeypatch.chdir(GOLDEN_DIR)
+    with open(_path(name), encoding="utf-8") as fp:
+        doc = json.load(fp)  # the recordings keep sorted key order
+    scalars = _leaves(doc, "")
+    code, text = _run(CASES[name], "text")
+    assert code == 0
+    assert text.splitlines() == ["%s: %s" % tuple(kv) for kv in scalars]
+    code, out = _run(CASES[name], "csv")
+    assert code == 0
+    rows = list(csv.reader(io.StringIO(out)))
+    if doc.get("command") == "congruence":
+        table = doc["table"]
+        assert rows[0] == ["row"] + table["columns"]
+        assert rows[1:] == [[r] + e for r, e in zip(table["rows"],
+                                                    table["entries"])]
+        assert len(rows) == 1 + len(table["rows"])
+    else:
+        assert rows == [["key", "value"]] + scalars
 
 
 if __name__ == "__main__":
