@@ -18,8 +18,8 @@ the prime 2^61-1 and record the Schwartz-Zippel bound of the run in the
 "mode" object.  The other commands only run symbolic checks and reject
 --sample.
 
---symbolic above N = 6 and audit field counts above 64 exit with code 2:
-those runs take minutes or more.
+--symbolic above N = 6, --sample above 1000 points and audit field
+counts above 64 exit with code 2: those runs take minutes or more.
 
 Every subcommand builds one JSON report, and --format renders it: json
 is the report with sorted keys; text is one "path: value" line per
@@ -63,6 +63,9 @@ _DEFAULT_SAMPLES = 20
 _SYMBOLIC_MAX_N = 6
 # layout(N) lists all C(N+2, 3) triples, so audit time grows as N^3
 _AUDIT_MAX_N = 64
+# the sampler builds every point before it checks any; 1,000 points on a
+# dense N = 6 pair take 2 to 3 s per command
+_SAMPLE_MAX = 1000
 
 
 # -- shared plumbing ---------------------------------------------------
@@ -77,10 +80,11 @@ def _mode_of(args, n=None) -> dict:
     """Check mode of a run that may sample at n fields; n is None where
     nothing is sampled.  With neither --symbolic nor --sample the mode is
     the one `auto_mode(n)` names; --symbolic above _SYMBOLIC_MAX_N fields
-    is refused."""
+    and a --sample count outside 1.._SAMPLE_MAX are refused."""
     sample = args.sample
-    if sample is not None and sample < 1:
-        raise ValidationError("--sample count must be at least 1")
+    if sample is not None and not 1 <= sample <= _SAMPLE_MAX:
+        raise ValidationError("--sample count must be between 1 and %d"
+                              % _SAMPLE_MAX)
     if (sample is None and n is not None and not args.symbolic
             and auto_mode(n) == "sampled"):
         sample = _DEFAULT_SAMPLES
@@ -102,9 +106,14 @@ def _bound_str(b: Fraction) -> str:
     exact, so bounds far below the float range print too."""
     if not b:
         return "0"
-    e = len(str(b.numerator)) - len(str(b.denominator))
-    if b < Fraction(10) ** e:
+    # from bit lengths, as str() refuses ints above 4,300 digits; the
+    # estimate is off by at most one
+    e = math.floor(math.log10(2) * (b.numerator.bit_length()
+                                    - b.denominator.bit_length()))
+    while b < Fraction(10) ** e:
         e -= 1
+    while b >= Fraction(10) ** (e + 1):
+        e += 1
     m = math.ceil(b * Fraction(10) ** (2 - e))
     if m == 1000:
         m, e = 100, e + 1
@@ -437,7 +446,8 @@ def _add_sampling(sp) -> None:
                             "N <= 4 fields)")
     group.add_argument("--sample", type=int, metavar="N", default=None,
                        help="evaluate checks at N random points, residues "
-                            "modulo 2^61-1 (default 20 for N > 4 fields)")
+                            "modulo 2^61-1 (default 20 for N > 4 fields, "
+                            "at most %d)" % _SAMPLE_MAX)
 
 
 def _add_common(sp) -> None:

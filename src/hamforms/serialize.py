@@ -13,6 +13,7 @@ ValidationError.
 
 import json
 import re
+import sys
 from fractions import Fraction
 
 from .errors import ParseError, ValidationError
@@ -42,6 +43,8 @@ def rational_to_str(c) -> str:
 
 
 _RATIONAL = re.compile(r"^[+-]?[0-9]+(/[0-9]+)?$")
+# Python refuses to convert longer digit strings to int (a ValueError)
+_TOO_LONG = "%s: an integer has more than %d digits, the conversion limit"
 
 
 def rational_from_str(s, where: str = "coefficient") -> Fraction:
@@ -53,6 +56,8 @@ def rational_from_str(s, where: str = "coefficient") -> Fraction:
         return Fraction(s.strip())
     except ZeroDivisionError:
         raise ParseError("%s: zero denominator in %r" % (where, s))
+    except ValueError:
+        raise ParseError(_TOO_LONG % (where, sys.get_int_max_str_digits()))
 
 
 def _as_rational(c, where: str) -> Fraction:
@@ -198,11 +203,15 @@ def load_json(path: str):
             text = fp.read()
     except OSError as exc:
         raise ParseError("cannot read %s: %s" % (path, exc))
+    except UnicodeDecodeError as exc:
+        raise ParseError("%s: not UTF-8 text: %s" % (path, exc.reason))
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError("%s: invalid JSON at line %d column %d: %s"
                          % (path, exc.lineno, exc.colno, exc.msg))
+    except ValueError:
+        raise ParseError(_TOO_LONG % (path, sys.get_int_max_str_digits()))
 
 
 def dump_json(obj) -> str:

@@ -2,12 +2,16 @@
 
 `bench/spans.py` wraps the functions and methods listed in its FUNCTIONS
 and METHODS tables; a target missing from `hamforms` crashes a traced
-benchmark run.  The module is only loaded here, nothing is wrapped.
+benchmark run, and so does a target module that a fresh
+`import hamforms.cli` leaves unloaded, since the tracer looks each one up
+in `sys.modules`.  The module is only loaded here, nothing is wrapped.
 """
 
 import importlib
 import importlib.util
 import os
+import subprocess
+import sys
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -39,3 +43,15 @@ def test_span_targets_resolve():
                 missing.append((name, modname, cls_name, attr))
     assert not missing
     assert spans.FUNCTIONS and spans.METHODS
+
+
+def test_cli_import_loads_every_span_module():
+    spans = _load_spans()
+    wanted = {where[0] for table in (spans.FUNCTIONS, spans.METHODS)
+              for entry in table.values() for where in _listed(entry)}
+    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, hamforms.cli; print('\\n'.join(sys.modules))"],
+        env=env, capture_output=True, text=True, check=True)
+    assert wanted - set(out.stdout.split()) == set()

@@ -1,6 +1,7 @@
 """Command line driver, exercised in process through main()."""
 
 import json
+import sys
 from fractions import Fraction
 
 import pytest
@@ -66,6 +67,11 @@ def test_congruence_rank_and_table(capsys, pair_file):
     code, out, _ = run(capsys, "congruence", "--pair", pair_file, "--table")
     assert code == 0
     assert "du1" in out and "p12" in out
+    assert any(line.startswith("equations[0]: du1:")
+               for line in out.splitlines())
+    code, out, _ = run(capsys, "congruence", "--pair", pair_file)
+    assert code == 0
+    assert not any(line.startswith("equations") for line in out.splitlines())
 
 
 def test_congruence_matrix_built_once(capsys, pair_file, monkeypatch):
@@ -260,6 +266,23 @@ def test_invalid_omega(capsys, tmp_path):
     assert "error:" in err
 
 
+DIGIT_LIMIT = "%d digits" % sys.get_int_max_str_digits()
+
+
+@pytest.mark.parametrize("body, reason", [
+    (b"\xff" + json.dumps(N2_PAIR).encode(), ": not UTF-8"),
+    (b'{"N": ' + b"1" * 5000 + b"}", DIGIT_LIMIT),
+    (json.dumps(dict(N2_PAIR, B=["1" * 5000, "0"])).encode(),
+     ".B[0]: an integer has more than " + DIGIT_LIMIT),
+], ids=["not_utf8", "long_json_integer", "long_coefficient"])
+def test_malformed_input_is_input_error(capsys, tmp_path, body, reason):
+    path = tmp_path / "malformed.json"
+    path.write_bytes(body)
+    code, out, err = run(capsys, "verify", "--pair", str(path))
+    assert code == 2 and out == ""
+    assert err.startswith("error: " + str(path)) and reason in err
+
+
 def test_degenerate_transform_is_input_error(capsys, tmp_path):
     # a pair whose exchange image degenerates: zero rotational block
     doc = {
@@ -398,6 +421,30 @@ def test_symbolic_at_eight_fields_is_refused(capsys, tmp_path, monkeypatch):
     assert ran == []
 
 
+def test_sample_count_above_the_limit_is_refused(capsys, tmp_path,
+                                                 monkeypatch):
+    path = tmp_path / "n6.json"
+    path.write_text(json.dumps(N6_PAIR))
+    rpath = tmp_path / "recip.json"
+    rpath.write_text(json.dumps(
+        {"ax": ["1"] + ["0"] * 5, "ax0": "2", "bt": "1", "bx": ["0"] * 6,
+         "cx": "0", "dt0": "1"}))
+    ran = []
+    monkeypatch.setattr(cli, "check_compat", lambda *a, **k: ran.append(a))
+    monkeypatch.setattr(cli, "congruence_checks",
+                        lambda *a, **k: ran.append(a))
+    for count in (cli._SAMPLE_MAX + 1, 10 ** 11):
+        for argv in (["verify", "--pair", str(path)],
+                     ["congruence", "--pair", str(path)],
+                     ["transform", "--pair", str(path),
+                      "--reciprocal", str(rpath)]):
+            code, out, err = run(capsys, *argv, "--sample", str(count))
+            assert code == 2 and out == "", argv
+            assert err.startswith("error:") and "--sample" in err
+            assert str(cli._SAMPLE_MAX) in err
+    assert ran == []
+
+
 def test_audit_rejects_large_field_counts(capsys, monkeypatch):
     ran = []
     monkeypatch.setattr(cli, "dimension_audit", ran.append)
@@ -411,6 +458,9 @@ def test_bound_rendering():
     assert cli._bound_str(Fraction(1, 3)) == "3.34e-1"
     assert cli._bound_str(Fraction(999999, 10 ** 6)) == "1.00e0"
     assert cli._bound_str(Fraction(0)) == "0"
+    # more digits than str() converts, as at --sample 1000
+    assert cli._bound_str(Fraction(1, 10 ** 5000)) == "1.00e-5000"
+    assert cli._bound_str(Fraction(10 ** 5000 + 1)) == "1.01e5000"
 
 
 def test_coefficient_without_residue_is_input_error(capsys, tmp_path):
