@@ -3,8 +3,8 @@
 A pair in N fields is equivalent to a single alternating three-form on
 N + 2 coordinates.  Coordinates 1..N match the fields, coordinate N + 1
 homogenizes the constant parts, and coordinate N + 2 carries the
-covector data.  `layout(N)` is the one statement of where each block
-sits; every reader and writer of the layout goes through it:
+covector data.  `_block` is the one statement of where each triple
+sits; the readers classify every stored triple with it:
 
     component (i, j, k), k <= N      ->  metric three-form   mcubic[i, j, k]
     component (i, j, N+1)            ->  constant metric part mconst[i, j]
@@ -12,17 +12,16 @@ sits; every reader and writer of the layout goes through it:
     component (i, N+1, N+2)          ->  constant covector    wconst[i]
 
 Every strictly increasing triple from {1, .., N+2} lands in exactly one
-of the four blocks, so the packaging loses nothing; `dimension_audit`
-verifies the bookkeeping.
+of the four blocks, so the packaging loses nothing.  `_assemble` writes
+each block entry at its triple, and `dimension_audit` verifies the
+bookkeeping and that the two directions agree.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cache
 from itertools import combinations
 from math import comb
-from types import MappingProxyType
 
 from .errors import DimensionMismatch, OddDimension
 from .forms import AltForm
@@ -35,24 +34,24 @@ def _check_n(N: int) -> None:
         raise OddDimension("field count must be even and positive")
 
 
-@cache
-def layout(N: int) -> MappingProxyType:
-    """The four-block layout: each increasing triple of 1..N+2 mapped to
-    (block, the indices that block keeps).  Read-only: one table per N
-    is shared by every caller."""
+def _block(t: tuple, N: int) -> tuple:
+    """The block an increasing triple of 1..N+2 sits in, and the indices
+    that block keeps."""
+    i, j, k = t
+    if k <= N:
+        return "mcubic", t
+    if j > N:
+        return "wconst", (i,)
+    if k == N + 1:
+        return "mconst", (i, j)
+    return "wskew", (i, j)
+
+
+def layout(N: int) -> dict:
+    """The four-block layout as a table: each increasing triple of
+    1..N+2 mapped to `_block` of it."""
     _check_n(N)
-    table = {}
-    for t in combinations(range(1, N + 3), 3):
-        i, j, k = t
-        if k <= N:
-            table[t] = ("mcubic", t)
-        elif j > N:
-            table[t] = ("wconst", (i,))
-        elif k == N + 1:
-            table[t] = ("mconst", (i, j))
-        else:
-            table[t] = ("wskew", (i, j))
-    return MappingProxyType(table)
+    return {t: _block(t, N) for t in combinations(range(1, N + 3), 3)}
 
 
 class StructureForm:
@@ -76,9 +75,12 @@ class StructureForm:
 
     def _parts(self, *blocks) -> list:
         """(triple, kept indices, component) over the named blocks."""
-        table = layout(self.N)
-        return [(t, table[t][1], v) for t, v in self.form.comps.items()
-                if table[t][0] in blocks]
+        out = []
+        for t, v in self.form.comps.items():
+            block, kept = _block(t, self.N)
+            if block in blocks:
+                out.append((t, kept, v))
+        return out
 
     # -- the four stored blocks --------------------------------------
 
@@ -120,15 +122,12 @@ class StructureForm:
 
 
 def _assemble(N: int, mcubic, mconst, wskew, wconst) -> StructureForm:
-    """Place the four blocks of a pair at their triples."""
-    data = {"mcubic": mcubic.comps, "mconst": mconst.upper,
-            "wskew": wskew.upper,
-            "wconst": {(i,): b for i, b in enumerate(wconst, start=1)}}
-    comps = {}
-    for t, (block, kept) in layout(N).items():
-        v = data[block].get(kept)
-        if v:
-            comps[t] = v
+    """Place each entry of the four blocks of a pair at its triple, the
+    inverse of `_block`; zero entries are left out."""
+    comps = dict(mcubic.comps)
+    comps.update({(i, j, N + 1): v for (i, j), v in mconst.upper.items()})
+    comps.update({(i, j, N + 2): v for (i, j), v in wskew.upper.items()})
+    comps.update({(i, N + 1, N + 2): b for i, b in enumerate(wconst, 1)})
     return StructureForm.from_comps(N, comps)
 
 

@@ -59,7 +59,8 @@ from .serialize import (rational_to_str, rational_from_str, load_json,
 __all__ = ["main"]
 
 _DEFAULT_SAMPLES = 20
-# a symbolic proof above this many fields runs for minutes
+# a symbolic proof above this many fields runs for half a minute or more:
+# 36 s for a dense N = 8 pair on one core of a 2-core x86-64 machine
 _SYMBOLIC_MAX_N = 6
 # layout(N) lists all C(N+2, 3) triples, so audit time grows as N^3
 _AUDIT_MAX_N = 64

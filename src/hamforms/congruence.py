@@ -154,9 +154,10 @@ def congruence_checks(sf: StructureForm, p: dict, mode: str, samples: int,
         points, keys = _residue_points(last, deg_p + max(deg_p, deg_w),
                                        samples, seed)
         out.update(keys)
+        memos = [{} for _ in points]
 
         def conv(c):
-            return _Vals.at(c, points) if isinstance(c, Poly) else c
+            return _Vals.at(c, points, memos) if isinstance(c, Poly) else c
 
         p = {k: conv(c) for k, c in p.items()}
         sf = StructureForm(sf.N, sf.form.map_coeffs(conv))

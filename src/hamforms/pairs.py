@@ -296,10 +296,17 @@ def check_compat(pair, mode: str = "auto", samples: int = 20, seed: int = _DEFAU
     """Verify the first- and second-order compatibility identities.
 
     With the flux written as V^k = n^k / P over a common denominator,
-    both identities clear to polynomial form; only derivatives in the
-    field directions u^1..u^N enter.  The symbolic mode proves them as
-    polynomial identities.  The sampled mode evaluates the same
-    combinations modulo the prime p = 2^61 - 1 at `samples` uniform
+    both identities are derivatives of g . V = W / P, where
+    W_q = sum_k g_qk n^k: the first is the symmetrised Jacobian
+    (W_q / P)_{,p} + (W_p / P)_{,q}, cleared over P^2, the second the
+    Hessian (W_q / P)_{,pl}, cleared over P^3.  These are the identities
+    as written with the derivatives of V, because the metric derivative
+    g_qk_{,l} = mcubic_qkl is constant in the fields, so the Hessian of
+    g . V holds no second derivative of g, and totally antisymmetric, so
+    its terms cancel from the symmetrised Jacobian.  Only derivatives in
+    the field directions u^1..u^N enter.  The symbolic mode proves the
+    identities as polynomial identities.  The sampled mode evaluates the
+    same combinations modulo the prime p = 2^61 - 1 at `samples` uniform
     residue points where P does not vanish mod p.  Every residual has
     total degree at most d = deg g + max deg n^k + 2 deg P - 1 in the ring
     variables; the sampled report adds "modulus", "degree" (d), "points"
@@ -317,6 +324,7 @@ def check_compat(pair, mode: str = "auto", samples: int = 20, seed: int = _DEFAU
         raise ValueError("mode must be auto, symbolic or sampled")
     N, nvars = pair.N, pair.nvars
     nums, P = pair.flux_cleared()
+    W = [_row_dot(pair.metric, q, nums, nvars) for q in range(1, N + 1)]
 
     bound_keys = {}
     if mode == "sampled":
@@ -326,91 +334,54 @@ def check_compat(pair, mode: str = "auto", samples: int = 20, seed: int = _DEFAU
         deg_p = P.total_degree()
         degree = max(0, deg_g + deg_n + 2 * deg_p - 1)
         points, bound_keys = _residue_points(P, degree, samples, seed)
+        memos = [{} for _ in points]
 
         def conv(p):
-            return _Vals.at(p, points)
-
-        zero = _Vals([0] * samples)
+            return _Vals.at(p, points, memos)
     else:
 
         def conv(p):
             return p
 
-        zero = Poly.zero(nvars)
-
     fields = range(1, N + 1)
-    grad_num = [[n.diff(p) for p in fields] for n in nums]
+    grad_W = [[w.diff(p) for p in fields] for w in W]
     grad_P = [P.diff(p) for p in fields]
-    dd_num = [_hessian(grad, conv) for grad in grad_num]
+    dd_W = [_hessian(grad, conv) for grad in grad_W]
     ddP = _hessian(grad_P, conv)
-    d_num = [[conv(p) for p in grad] for grad in grad_num]
+    d_W = [[conv(p) for p in grad] for grad in grad_W]
     dP = [conv(p) for p in grad_P]
-    nums = [conv(n) for n in nums]
+    W = [conv(w) for w in W]
     P = conv(P)
-    g = {}
-    for (i, j), v in pair.metric.upper.items():
-        g[(i, j)] = conv(v)
-        g[(j, i)] = g[(i, j)] * Fraction(-1)
 
     @cache
-    def d1(k, l):
-        # numerator of V^k_{,l} over P^2; k and l are 1-based
-        return d_num[k - 1][l - 1] * P - nums[k - 1] * dP[l - 1]
+    def d1(q, l):
+        # numerator of (W_q / P)_{,l} over P^2; q and l are 1-based
+        return d_W[q - 1][l - 1] * P - W[q - 1] * dP[l - 1]
 
     @cache
-    def d1P(k, l):
-        # d1(k, l) * P, formed once for the second-order identities
-        return d1(k, l) * P
-
-    @cache
-    def d2(k, p, l):
-        # numerator of V^k_{,pl} over P^3; all indices 1-based
+    def d2(q, p, l):
+        # numerator of (W_q / P)_{,pl} over P^3; all indices 1-based
         lead = (
-            dd_num[k - 1][p - 1][l - 1] * P
-            + d_num[k - 1][p - 1] * dP[l - 1]
-            - d_num[k - 1][l - 1] * dP[p - 1]
-            - nums[k - 1] * ddP[p - 1][l - 1]
+            dd_W[q - 1][p - 1][l - 1] * P
+            + d_W[q - 1][p - 1] * dP[l - 1]
+            - d_W[q - 1][l - 1] * dP[p - 1]
+            - W[q - 1] * ddP[p - 1][l - 1]
         )
-        return lead * P - (dP[l - 1] * d1(k, p)) * 2
+        return lead * P - (dP[l - 1] * d1(q, p)) * 2
 
     first = {}
     for p in range(1, N + 1):
         for q in range(p, N + 1):
-            acc = zero
-            for j in range(1, N + 1):
-                a = g.get((q, j))
-                if a is not None:
-                    acc = acc + a * d1(j, p)
-                b = g.get((p, j))
-                if b is not None:
-                    acc = acc + b * d1(j, q)
+            acc = d1(q, p) + d1(p, q)
             if acc:
                 first[(p, q)] = acc
-
-    @cache
-    def cubic_coeff(i, j, k):
-        # metric derivative coefficients; a Poly when they involve parameters
-        c = pair.mcubic.get(i, j, k)
-        if not c:
-            return None
-        return conv(c) if isinstance(c, Poly) else c
 
     second = {}
     for q in range(1, N + 1):
         for p in range(1, N + 1):
             for l in range(1, N + 1):
-                acc = zero
-                for k in range(1, N + 1):
-                    a = g.get((q, k))
-                    if a is not None:
-                        # V^k_{,pl} is symmetric in p and l
-                        acc = acc + a * d2(k, min(p, l), max(p, l))
-                    c1 = cubic_coeff(p, q, k)
-                    if c1 is not None:
-                        acc = acc + d1P(k, l) * c1
-                    c2 = cubic_coeff(q, k, l)
-                    if c2 is not None:
-                        acc = acc + d1P(k, p) * c2
+                # the Hessian is symmetric in p and l
+                acc = d2(q, min(p, l), max(p, l))
                 if acc:
                     second[(q, p, l)] = acc
     if mode == "sampled":

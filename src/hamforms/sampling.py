@@ -101,22 +101,30 @@ def _random_residue(rng: Lcg) -> int:
 
 
 def _reduced_terms(p) -> list:
-    """(coefficient residue, [(variable index, exponent)]) per term."""
+    """(coefficient residue, packed monomial) per term."""
     if p.den % MODULUS == 0:
         raise NoResidue("coefficients with denominator %d have no residue "
                         "mod 2^61-1: it is a multiple of the modulus" % p.den)
     inv = pow(p.den, -1, MODULUS)
-    return [(c * inv % MODULUS,
-             [(i, k) for i, k in enumerate(unpack(key, p.num_vars)) if k])
-            for key, c in p.terms.items()]
+    return [(c * inv % MODULUS, key) for key, c in p.terms.items()]
 
 
-def _eval_mod(terms, x) -> int:
+def _eval_mod(terms, x, memo) -> int:
+    """The residue at the point x of a polynomial in len(x) variables.
+
+    `memo` maps a packed monomial to its residue at x and is filled on
+    first use, so a monomial shared by many polynomials of one check is
+    reduced once per point; a memo serves one point and one ring."""
     total = 0
-    for c, mono in terms:
-        for i, k in mono:
-            c = c * pow(x[i], k, MODULUS) % MODULUS
-        total += c
+    for c, key in terms:
+        r = memo.get(key)
+        if r is None:
+            r = 1
+            for v, k in zip(x, unpack(key, len(x))):
+                if k:
+                    r = r * pow(v, k, MODULUS) % MODULUS
+            memo[key] = r
+        total += c * r
     return total % MODULUS
 
 
@@ -136,9 +144,10 @@ class _Vals:
         self.v = v
 
     @classmethod
-    def at(cls, p, points) -> "_Vals":
+    def at(cls, p, points, memos) -> "_Vals":
+        """p at each point, with the monomial memo of that point."""
         terms = _reduced_terms(p)
-        return cls([_eval_mod(terms, x) for x in points])
+        return cls([_eval_mod(terms, x, m) for x, m in zip(points, memos)])
 
     def __add__(self, other):
         return _Vals([(a + b) % MODULUS for a, b in zip(self.v, other.v)])
@@ -174,7 +183,7 @@ def _residue_points(avoid, degree: int, samples: int, seed: int) -> tuple:
     points = []
     while len(points) < samples:
         x = tuple(_random_residue(rng) for _ in range(avoid.num_vars))
-        if _eval_mod(terms, x):
+        if _eval_mod(terms, x, {}):
             points.append(x)
     bound = Fraction(degree, MODULUS - avoid.total_degree()) ** samples
     return points, {"modulus": MODULUS, "degree": degree, "points": samples,

@@ -19,7 +19,7 @@ from .errors import (DegenerateImage, DegenerateMetric, DimensionMismatch,
                      SingularMatrix, ValidationError)
 from .forms import pullback_linear
 from .linalg import Matrix
-from .pairs import HamPair
+from .pairs import HamPair, _row_dot
 from .poly import Poly, RatFunc
 
 
@@ -215,23 +215,16 @@ def apply_xt_exchange(pair: HamPair) -> HamPair:
 
 
 def _exchange_metric_identity(pair: HamPair, new_pair: HamPair) -> bool:
-    # gbar_{ij} evaluated at ubar = V equals g_{is} dV^s/du^j
+    # gbar_{ij} evaluated at ubar = V equals g_{is} dV^s/du^j.  At N = 2
+    # both metrics and P = Pf(g) are free of the fields, so with V = n / P
+    # this is gbar_{ij} P = g_{is} dn^s/du^j
     n, nv = pair.N, pair.nvars
-    flux = pair.flux
-    values = list(flux) + [RatFunc.var(nv, k) for k in range(n + 1, nv + 1)]
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            if i == j:
-                continue
-            gbar = new_pair.metric.get(i, j)
-            if isinstance(gbar, Poly):
-                gbar = gbar.compose(values)
-            rhs = RatFunc.from_const(nv, 0)
-            for s in range(1, n + 1):
-                g = pair.metric.get(i, s)
-                if g:
-                    rhs = rhs + g * flux[s - 1].diff(j)
-            if gbar != rhs:
+    nums, P = pair.flux_cleared()
+    for j in range(1, n + 1):
+        dn = [v.diff(j) for v in nums]
+        for i in range(1, n + 1):
+            if i != j and new_pair.metric.get(i, j) * P != _row_dot(
+                    pair.metric, i, dn, nv):
                 return False
     return True
 

@@ -29,6 +29,20 @@ def test_roundtrip_symbolic():
         assert form_from_pair(back) == sf
 
 
+def test_packing_does_not_walk_the_layout_table(monkeypatch):
+    # compose and decompose cost the stored entries, not C(N+2, 3)
+    import hamforms.bridge as bridge
+
+    def refuse(N):
+        raise AssertionError("layout table built")
+
+    monkeypatch.setattr(bridge, "layout", refuse)
+    pair = generic_pair_n4()
+    sf = form_from_pair(pair)
+    assert pairs_equal(pair_from_form(sf, nvars=pair.nvars), pair)
+    assert sf.metric_block().comps and sf.w_block().comps
+
+
 def test_roundtrip_random():
     rng = Lcg(55)
     for n in (2, 4, 6):

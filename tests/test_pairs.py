@@ -5,6 +5,7 @@ proved symbolically here, independently of check_compat's own route.
 """
 
 from fractions import Fraction
+from functools import cache
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -20,12 +21,15 @@ from hamforms import (
     OddDimension,
     Poly,
     RatFunc,
+    ReciprocalMap,
     SkewMatrix,
+    apply_reciprocal,
     build_metric,
     check_compat,
     rhs_covector,
 )
 from hamforms.poly import divides
+from hamforms.sampling import _Vals, _first_failures, _residue_points
 
 from helpers import (P61, generic_pair_n2, generic_pair_n4, mod_eval,
                      pairs_equal)
@@ -223,14 +227,23 @@ def test_check_differentiates_only_in_field_directions(monkeypatch):
         assert max(calls) <= n
 
 
-def test_check_forms_each_first_derivative_product_once(monkeypatch):
-    pair = HamPair.random(Lcg(3), 4)
-    n = pair.N
-    nums, P = pair.flux_cleared()
-    # d1(k, l) = n^k_{,l} P - n^k P_{,l}, the numerator of V^k_{,l}
-    d1 = {(k, l): nums[k].diff(l + 1) * P - nums[k] * P.diff(l + 1)
-          for k in range(n) for l in range(n)}
-    assert len(set(d1.values())) == len(d1)
+def _covector_numerators(pair):
+    """W_q = sum_j g_qj n^j, the numerators of g . V over P."""
+    nums, _ = pair.flux_cleared()
+    out = []
+    for q in range(1, pair.N + 1):
+        acc = Poly.zero(pair.nvars)
+        for j in range(1, pair.N + 1):
+            g = pair.metric.get(q, j)
+            if g:
+                acc = acc + g * nums[j - 1]
+        out.append(acc)
+    return out
+
+
+def _count_products_with(monkeypatch, P):
+    """Wrap Poly.__mul__; the returned list collects each left factor
+    multiplied by P itself."""
     real = Poly.__mul__
     formed = []
 
@@ -240,34 +253,47 @@ def test_check_forms_each_first_derivative_product_once(monkeypatch):
         return real(self, other)
 
     monkeypatch.setattr(Poly, "__mul__", counted)
+    return formed
+
+
+def test_check_forms_each_first_derivative_product_once(monkeypatch):
+    # the numerator of (W_q / P)_{,l} is W_q_{,l} P - W_q P_{,l}; its
+    # product W_q_{,l} P is formed once and shared by both identities
+    pair = HamPair.random(Lcg(3), 4)
+    n = pair.N
+    W = _covector_numerators(pair)
+    P = pair.flux_cleared()[1]
+    grad = {(k, l): W[k].diff(l + 1) for k in range(n) for l in range(n)}
+    assert len(set(grad.values())) == len(grad)
+    formed = _count_products_with(monkeypatch, P)
     assert check_compat(pair, mode="symbolic")["all_zero"]
-    for key, value in d1.items():
-        assert sum(x == value for x in formed) <= 1, key
+    monkeypatch.undo()
+    for key, value in grad.items():
+        assert sum(x == value for x in formed) == 1, key
 
 
 def test_check_forms_each_second_derivative_once(monkeypatch):
-    # the numerator of V^k_{,pl} is symmetric in p and l, so only one of
-    # its two leading parts, for (p, l) and for (l, p), is ever formed
-    pair = HamPair.random(Lcg(3), 4)
+    # the numerator of (W_q / P)_{,pl} is symmetric in p and l, so only
+    # one of its two leading parts, for (p, l) and for (l, p), is formed.
+    # On a compatible pair W / P is affine and many leading parts vanish
+    # alike; a quadratic added to every flux component keeps them apart
+    base = HamPair.random(Lcg(3), 4)
+    s = RatFunc.from_poly(sum((Poly.var(4, m) for m in range(2, 5)),
+                              Poly.var(4, 1)))
+    pair = ForcedPair(base.mcubic, base.mconst,
+                      tuple(v + s * s * k for k, v in enumerate(base.flux, 1)))
     n = pair.N
-    nums, P = pair.flux_cleared()
+    W = _covector_numerators(pair)
+    P = pair.flux_cleared()[1]
 
     def lead(k, p, l):
-        # n_{,pl} P + n_{,p} P_{,l} - n_{,l} P_{,p} - n P_{,pl}, n = n^k
-        nk, Pp = nums[k], P.diff(p + 1)
-        return (nk.diff(p + 1).diff(l + 1) * P + nk.diff(p + 1) * P.diff(l + 1)
-                - nk.diff(l + 1) * Pp - nk * Pp.diff(l + 1))
+        # w_{,pl} P + w_{,p} P_{,l} - w_{,l} P_{,p} - w P_{,pl}, w = W_k
+        wk, Pp = W[k], P.diff(p + 1)
+        return (wk.diff(p + 1).diff(l + 1) * P + wk.diff(p + 1) * P.diff(l + 1)
+                - wk.diff(l + 1) * Pp - wk * Pp.diff(l + 1))
 
-    real = Poly.__mul__
-    formed = []
-
-    def counted(self, other):
-        if other is P:
-            formed.append(self)
-        return real(self, other)
-
-    monkeypatch.setattr(Poly, "__mul__", counted)
-    assert check_compat(pair, mode="symbolic")["all_zero"]
+    formed = _count_products_with(monkeypatch, P)
+    assert not check_compat(pair, mode="symbolic")["all_zero"]
     monkeypatch.undo()
     for k in range(n):
         for p in range(n):
@@ -275,6 +301,24 @@ def test_check_forms_each_second_derivative_once(monkeypatch):
                 pair_leads = (lead(k, p, l), lead(k, l, p))
                 assert pair_leads[0] != pair_leads[1]
                 assert sum(x in pair_leads for x in formed) == 1, (k, p, l)
+
+
+def test_check_multiplies_fewer_polynomials(monkeypatch):
+    # the identities written with the derivatives of V took 778 products
+    # on this pair; as derivatives of W, forming W takes N^2 and no sum
+    # over the metric or the cubic coefficients follows
+    pair = HamPair.random(Lcg(3), 4)
+    pair.flux_cleared()
+    real = Poly.__mul__
+    calls = []
+
+    def counted(self, other):
+        calls.append(1)
+        return real(self, other)
+
+    monkeypatch.setattr(Poly, "__mul__", counted)
+    assert check_compat(pair, mode="symbolic")["all_zero"]
+    assert len(calls) < 778
 
 
 @pytest.mark.parametrize("n, k, m", [(2, 1, 2), (4, 2, 3), (6, 1, 4)])
@@ -329,6 +373,35 @@ def test_sampled_check_refuses_coefficients_without_residue():
         check_compat(pair, mode="sampled", samples=0)
 
 
+def test_sampled_checks_memoise_each_point_apart(monkeypatch):
+    # a memo entry is its monomial's residue at the memo's own point; one
+    # memo shared by all points would give every point the first's residues
+    import hamforms.sampling as sampling
+    from hamforms import congruence_checks, form_from_pair, plucker_homogeneous
+    from hamforms.poly import unpack
+
+    real = sampling._Vals.at.__func__
+    seen = []
+
+    def spy(cls, p, points, memos):
+        seen.append((points, memos))
+        return real(cls, p, points, memos)
+
+    monkeypatch.setattr(sampling._Vals, "at", classmethod(spy))
+    pair = generic_pair_n4()
+    check_compat(pair, mode="sampled", samples=3)
+    congruence_checks(form_from_pair(pair), plucker_homogeneous(pair),
+                      "sampled", 3, 1)
+    monkeypatch.undo()
+    nv = pair.nvars
+    for points, memos in {id(m): (x, m) for x, m in seen}.values():
+        assert len(memos) == len(points) == 3
+        for x, memo in zip(points, memos):
+            assert memo
+            for key, r in list(memo.items())[:50]:
+                assert r == mod_eval(Poly(nv, {unpack(key, nv): 1}), x)
+
+
 @settings(max_examples=12, deadline=None)
 @given(seed=st.integers(0, 2 ** 32), n=st.sampled_from([2, 4]),
        k=st.integers(1, 4), shift=st.integers(1, 3),
@@ -340,3 +413,142 @@ def test_sampled_and_symbolic_agree(seed, n, k, shift, c):
     for p in (pair, _perturbed(pair, k, m, c)):
         assert (check_compat(p, mode="sampled", seed=seed)["all_zero"]
                 == check_compat(p, mode="symbolic")["all_zero"])
+
+
+# -- the oracle: both identities from the derivatives of V -------------------
+
+def _compat_oracle(pair, mode, samples=20, seed=715225741):
+    """check_compat's report from the identities written with V^k = n^k / P:
+    the first sum_j g_qj V^j_{,p} + g_pj V^j_{,q} over P^2, the second
+    sum_k g_qk V^k_{,pl} + mcubic_pqk V^k_{,l} + mcubic_qkl V^k_{,p} over
+    P^3, sampled at the points of the same `_residue_points`."""
+    N, nvars = pair.N, pair.nvars
+    nums, P = pair.flux_cleared()
+    keys = {}
+    if mode == "sampled":
+        deg_g = max((e.total_degree() for e in pair.metric.upper.values()),
+                    default=0)
+        degree = max(0, deg_g + max(n.total_degree() for n in nums)
+                     + 2 * P.total_degree() - 1)
+        points, keys = _residue_points(P, degree, samples, seed)
+        memos = [{} for _ in points]
+
+        def conv(p):
+            return _Vals.at(p, points, memos)
+    else:
+
+        def conv(p):
+            return p
+
+    f = range(1, N + 1)
+    dn = [[conv(n.diff(p)) for p in f] for n in nums]
+    dP = [conv(P.diff(p)) for p in f]
+    n_, P_ = [conv(n) for n in nums], conv(P)
+
+    @cache
+    def dd(k, p, l):
+        # (n^k or, for k = 0, P) differentiated by u^p and u^l, p <= l
+        return conv((nums[k - 1] if k else P).diff(p).diff(l))
+
+    def g(i, j):
+        c = pair.metric.get(i, j)
+        return conv(c) if c else None
+
+    def cubic(i, j, k):
+        c = pair.mcubic.get(i, j, k)
+        return (conv(c) if isinstance(c, Poly) else c) if c else None
+
+    @cache
+    def d1(k, l):
+        return dn[k - 1][l - 1] * P_ - n_[k - 1] * dP[l - 1]
+
+    @cache
+    def d1P(k, l):
+        return d1(k, l) * P_
+
+    @cache
+    def d2(k, p, l):
+        lead = (dd(k, p, l) * P_ + dn[k - 1][p - 1] * dP[l - 1]
+                - dn[k - 1][l - 1] * dP[p - 1] - n_[k - 1] * dd(0, p, l))
+        return lead * P_ - (dP[l - 1] * d1(k, p)) * 2
+
+    def total(terms):
+        terms = [a * b for a, b in terms if a is not None]
+        return sum(terms[1:], terms[0]) if terms else None
+
+    first, second = {}, {}
+    for p in f:
+        for q in range(p, N + 1):
+            acc = total([(g(q, j), d1(j, p)) for j in f]
+                        + [(g(p, j), d1(j, q)) for j in f])
+            if acc:
+                first[(p, q)] = acc
+    for q in f:
+        for p in f:
+            for l in f:
+                acc = total([(g(q, k), d2(k, min(p, l), max(p, l)))
+                             for k in f]
+                            + [(cubic(p, q, k), d1P(k, l)) for k in f]
+                            + [(cubic(q, k, l), d1P(k, p)) for k in f])
+                if acc:
+                    second[(q, p, l)] = acc
+    if mode == "sampled":
+        first = _first_failures(points, first)
+        second = _first_failures(points, second)
+    return {"mode": mode, "first_order": first, "second_order": second,
+            "checked": (N * (N + 1) // 2, N ** 3),
+            "all_zero": not first and not second, **keys}
+
+
+def _oracle_cases():
+    """(label, pair, modes): random, perturbed, parametric and
+    transformed pairs, compatible or not; symbolic at N = 6 for one
+    pair only, as it takes seconds there."""
+    both = ("symbolic", "sampled")
+    cases = []
+    for n, seeds in ((2, (1, 2, 3, 4, 5)), (4, (3, 4, 5, 6)), (6, (3, 4))):
+        for seed in seeds:
+            pair = HamPair.random(Lcg(seed), n)
+            cases.append(("random n%d seed %d" % (n, seed), pair,
+                          both if (n, seed) != (6, 4) else ("sampled",)))
+            if (n, seed) == (6, 4):
+                continue
+            k, m = seed % n + 1, (seed + 1) % n + 1
+            cases.append(("perturbed n%d seed %d" % (n, seed),
+                          _perturbed(pair, k, m, Fraction(seed, 3)),
+                          both if n < 6 else ("sampled",)))
+    for label, pair in (("generic n2", generic_pair_n2()),
+                        ("generic n2 unit", generic_pair_n2(True)),
+                        ("generic n4", generic_pair_n4())):
+        cases.append((label, pair, both))
+        cases.append((label + " perturbed", _perturbed(pair, 1, 2, 1), both))
+    for n in (2, 4):
+        # V^1 over a denominator that is not the pfaffian
+        pair = HamPair.random(Lcg(3), n)
+        nums, P = pair.flux_cleared()
+        flux = (RatFunc(nums[0], P + Poly.var(n, 1)),) + pair.flux[1:]
+        cases.append(("denominator n%d" % n,
+                      ForcedPair(pair.mcubic, pair.mconst, flux), both))
+    nv = 5
+    param = HamPair(AltForm(3, 4, {(1, 2, 3): Fraction(1)}),
+                    SkewMatrix(4, {(1, 2): Fraction(1), (3, 4): Poly.var(nv, 5)}),
+                    SkewMatrix(4, {(1, 3): Fraction(2), (2, 4): Fraction(1)}),
+                    (Fraction(1), Fraction(0), Fraction(1), Fraction(0)),
+                    nvars=nv)
+    r = ReciprocalMap(4, [1, 0, 0, 0], 2, 1, [0] * 4, 0, 1)
+    for label, pair in (("reciprocal generic n4", generic_pair_n4()),
+                        ("reciprocal parameter n4", param)):
+        cases.append((label, apply_reciprocal(pair, r), both))
+    return cases
+
+
+def test_check_compat_matches_the_oracle():
+    reports = 0
+    failing = 0
+    for label, pair, modes in _oracle_cases():
+        for mode in modes:
+            rep = check_compat(pair, mode=mode)
+            assert rep == _compat_oracle(pair, mode), (label, mode)
+            reports += 1
+            failing += not rep["all_zero"]
+    assert reports == 60 and 0 < failing < reports

@@ -26,7 +26,7 @@ from hamforms import (
     pullback_linear,
 )
 
-from helpers import pairs_equal, random_invertible
+from helpers import generic_pair_n2, pairs_equal, random_invertible
 
 
 def test_identity_map():
@@ -113,6 +113,18 @@ def test_exchange_is_coordinate_swap():
         lhs = form_from_pair(q).form
         rhs = pullback_linear(form_from_pair(p).form, Matrix(swap))
         assert lhs == rhs
+
+
+def test_exchange_identity_rejects_a_wrong_image():
+    # gbar_ij P = g_is n^s_{,j} holds for the exchange image only
+    from hamforms.transforms import _exchange_metric_identity
+
+    for p in (canonical_n2_pair(), generic_pair_n2(), HamPair.random(Lcg(4), 2)):
+        q = apply_xt_exchange(p)
+        assert _exchange_metric_identity(p, q)
+        wrong = HamPair(q.mcubic, q.mconst.scale(Fraction(2)), q.wskew,
+                        q.wconst, nvars=q.nvars)
+        assert not _exchange_metric_identity(p, wrong)
 
 
 def test_exchange_degenerate_image():
