@@ -18,8 +18,10 @@ the prime 2^61-1 and record the Schwartz-Zippel bound of the run in the
 "mode" object.  The other commands only run symbolic checks and reject
 --sample.
 
---symbolic above N = 6, --sample above 1000 points and audit field
-counts above 64 exit with code 2: those runs take minutes or more.
+Three caps exit with code 2: --symbolic above N = 6 (a dense N = 8
+proof takes half a minute), --sample above 1000 points (1,000 points
+take 2 to 3 s at dense N = 6) and audit field counts above 64 (audit
+time grows as N^3).
 
 Every subcommand builds one JSON report, and --format renders it: json
 is the report with sorted keys; text is one "path: value" line per
@@ -53,8 +55,8 @@ from .classify import classify_n2, classify_n4, stabilizer_audit, format_system
 from .transforms import (ProjectiveMap, ReciprocalMap, apply_projective,
                          apply_xt_exchange, apply_reciprocal)
 from .serialize import (rational_to_str, rational_from_str, load_json,
-                        dump_json, pair_from_dict, pair_to_dict,
-                        omega_from_dict, omega_to_dict)
+                        dump_json, load_pair, pair_to_dict,
+                        parse_omega_file, omega_to_dict)
 
 __all__ = ["main"]
 
@@ -92,7 +94,7 @@ def _mode_of(args, n=None) -> dict:
     if n is not None and args.symbolic and auto_mode(n) == "sampled":
         if n > _SYMBOLIC_MAX_N:
             raise ValidationError(
-                "--symbolic at N = %d runs for minutes or longer; "
+                "--symbolic at N = %d runs for half a minute or more; "
                 "--sample <n> tests n random points" % n)
         print("note: --symbolic at N = %d overrides the sampled default and "
               "can take long; --sample <n> tests n random points" % n,
@@ -183,7 +185,7 @@ def _emit(args, payload, table=None) -> None:
 # -- subcommands -------------------------------------------------------
 
 def cmd_compose(args) -> int:
-    pair = pair_from_dict(load_json(args.pair), where=args.pair)
+    pair = load_pair(args.pair)
     sf = form_from_pair(pair)
     ok = pair_from_form(sf) == pair
     _emit(args, omega_to_dict(sf))
@@ -191,7 +193,7 @@ def cmd_compose(args) -> int:
 
 
 def cmd_decompose(args) -> int:
-    sf = omega_from_dict(load_json(args.omega), where=args.omega)
+    sf = parse_omega_file(args.omega)
     pair = pair_from_form(sf)
     ok = form_from_pair(pair).form == sf.form
     _emit(args, pair_to_dict(pair))
@@ -211,10 +213,9 @@ def _residual_json(res) -> dict:
 
 
 def cmd_verify(args) -> int:
-    pair = pair_from_dict(load_json(args.pair), where=args.pair)
+    pair = load_pair(args.pair)
     mode = _mode_of(args, pair.N)
-    rep = check_compat(pair, mode=mode["kind"],
-                       samples=mode["samples"] or _DEFAULT_SAMPLES,
+    rep = check_compat(pair, mode=mode["kind"], samples=mode["samples"],
                        seed=mode["seed"])
     n1, n2 = rep["checked"]
     checks = [
@@ -260,7 +261,7 @@ def _equation_strings(m, dim) -> list:
 
 
 def cmd_congruence(args) -> int:
-    pair = pair_from_dict(load_json(args.pair), where=args.pair)
+    pair = load_pair(args.pair)
     mode = _mode_of(args, pair.N)
     sf = form_from_pair(pair)
     dim = pair.N + 2
@@ -268,7 +269,7 @@ def cmd_congruence(args) -> int:
     m = rank_info["matrix"]
 
     rep = congruence_checks(sf, plucker_homogeneous(pair), mode["kind"],
-                            mode["samples"] or _DEFAULT_SAMPLES, mode["seed"])
+                            mode["samples"], mode["seed"])
     suffix = " (%d points)" % rep["points"] if "points" in rep else ""
     checks = [
         _check("annihilation of the line coordinates" + suffix,
@@ -303,7 +304,7 @@ def cmd_congruence(args) -> int:
 
 
 def cmd_classify(args) -> int:
-    sf = omega_from_dict(load_json(args.omega), where=args.omega)
+    sf = parse_omega_file(args.omega)
     if sf.N == 2:
         result = classify_n2(sf)
         invariants = {}
@@ -369,7 +370,7 @@ def _parse_reciprocal_file(path, n) -> ReciprocalMap:
 
 
 def cmd_transform(args) -> int:
-    pair = pair_from_dict(load_json(args.pair), where=args.pair)
+    pair = load_pair(args.pair)
     # only the reciprocal image is checked by sampling
     mode = _mode_of(args, pair.N if args.reciprocal else None)
     inputs = {"pair": args.pair}
@@ -394,8 +395,7 @@ def cmd_transform(args) -> int:
         r = _parse_reciprocal_file(args.reciprocal, pair.N)
         new_pair = apply_reciprocal(pair, r)
         rep = check_compat(new_pair, mode=mode["kind"],
-                           samples=mode["samples"] or _DEFAULT_SAMPLES,
-                           seed=mode["seed"])
+                           samples=mode["samples"], seed=mode["seed"])
         _add_bound(mode, rep)
         checks.append(_check("transformed pair satisfies the "
                              "compatibility identities",

@@ -1,12 +1,13 @@
 """Alternating forms with exact coefficients.
 
-A form of degree k on a dim-dimensional space stores one coefficient per
-strictly increasing index tuple (1-based).  Coefficients are Fraction,
-Poly or RatFunc; an accessor with indices in arbitrary order applies the
-permutation sign.  Degrees 1..3 cover all stored data; degree 4 appears
-only as a wedge result.  `skew.SkewMatrix` is the degree-2 `AltForm`
-read as an antisymmetric matrix; sums, negatives, multiples and
-`map_coeffs` of a SkewMatrix are again SkewMatrix.
+A form of degree k >= 1 on a dim-dimensional space stores one
+coefficient per strictly increasing index tuple (1-based).  Coefficients
+are Fraction, Poly or RatFunc; an accessor with indices in arbitrary
+order applies the permutation sign.  Stored data has degree 1..3;
+wedges of it reach any degree, and a degree above dim gives the zero
+form.  `skew.SkewMatrix` is the degree-2 `AltForm` read as an
+antisymmetric matrix; sums, negatives, multiples and `map_coeffs` of a
+SkewMatrix are again SkewMatrix.
 """
 from __future__ import annotations
 
@@ -37,13 +38,14 @@ def _scalar_ok(c) -> bool:
 
 
 class AltForm:
-    """Exterior form of degree 1..4 with sparse increasing-index storage."""
+    """Exterior form of any degree >= 1, stored sparsely by increasing
+    index tuples."""
 
     __slots__ = ("degree", "dim", "comps")
 
     def __init__(self, degree: int, dim: int, comps=None):
-        if not 1 <= degree <= 4:
-            raise ValueError("only degrees 1..4 are supported")
+        if degree < 1:
+            raise ValueError("degree must be positive")
         if dim < 1:
             raise ValueError("dimension must be positive")
         self.degree = degree
@@ -69,11 +71,6 @@ class AltForm:
                 prev = clean.get(key)
                 clean[key] = c if prev is None else prev + c
         self.comps = {k: v for k, v in clean.items() if v}
-
-    @classmethod
-    def basis(cls, dim: int, idx) -> "AltForm":
-        """Basis form du^{i1} ^ ... ^ du^{ik} for increasing idx."""
-        return cls(len(idx), dim, {tuple(idx): Fraction(1)})
 
     def get(self, *idx):
         """Component for an arbitrary-order index tuple, with sign."""
@@ -136,7 +133,7 @@ class AltForm:
         return (
             self.degree == other.degree
             and self.dim == other.dim
-            and _comps_equal(self.comps, other.comps)
+            and self.comps == other.comps
         )
 
     def __hash__(self):
@@ -167,19 +164,12 @@ class AltForm:
         return "AltForm(%d, %d, %s)" % (self.degree, self.dim, self.format())
 
 
-def _comps_equal(a: dict, b: dict) -> bool:
-    if set(a) != set(b):
-        return False
-    return all(a[k] == b[k] for k in a)
-
-
 def wedge(a: AltForm, b: AltForm) -> AltForm:
-    """Exterior product; result degree must stay within 4."""
+    """Exterior product, of degree a.degree + b.degree; the zero form
+    when that exceeds the dimension."""
     if a.dim != b.dim:
         raise DimensionMismatch("wedge of forms on different spaces")
     k = a.degree + b.degree
-    if k > 4:
-        raise ValueError("wedge degree beyond 4 is not supported")
     comps: dict = {}
     for ia, ca in a.comps.items():
         for ib, cb in b.comps.items():

@@ -3,8 +3,11 @@
 The leading coefficient of every operator handled here is antisymmetric,
 so determinants factor as squares of Pfaffians and inverses divide by a
 single Pfaffian instead of a determinant.  A `SkewMatrix` is the
-degree-2 `AltForm`: the same sparse signed storage and arithmetic, read
-as a matrix.  Entries are Fraction, Poly or RatFunc; everything is exact.
+degree-2 `AltForm`, built by `AltForm.__init__`.  It adds the matrix
+reading: a nonzero diagonal entry is an error, `get(i, j)` is the fast
+lookup of the Pfaffian expansion, `n` and `upper` name the side and the
+strictly upper entries, and the Pfaffian routines take only a
+`SkewMatrix`.  Entries are Fraction, Poly or RatFunc; all is exact.
 """
 
 from __future__ import annotations
@@ -18,33 +21,14 @@ from .linalg import Matrix
 
 class SkewMatrix(AltForm):
     """n x n antisymmetric matrix: the two-form on n coordinates, stored
-    by its strictly upper entries.  Unlike `AltForm`, a nonzero diagonal
-    entry is an error rather than dropped."""
+    by its strictly upper entries."""
 
     __slots__ = ()
 
     def __init__(self, n: int, upper=None):
-        clean = {}
-        if upper:
-            for (i, j), v in upper.items():
-                if not (1 <= i <= n and 1 <= j <= n):
-                    raise ValueError("index out of range")
-                if i == j:
-                    if v:
-                        raise ValueError("diagonal of a skew matrix must vanish")
-                    continue
-                if i > j:
-                    i, j = j, i
-                    v = -v
-                if isinstance(v, int):
-                    v = Fraction(v)
-                prev = clean.get((i, j))
-                v = v if prev is None else prev + v
-                if v:
-                    clean[(i, j)] = v
-                else:
-                    clean.pop((i, j), None)
-        self.degree, self.dim, self.comps = 2, n, clean
+        if upper and any(i == j and v for (i, j), v in upper.items()):
+            raise ValueError("diagonal of a skew matrix must vanish")
+        AltForm.__init__(self, 2, n, upper)
 
     @property
     def n(self) -> int:
@@ -59,30 +43,10 @@ class SkewMatrix(AltForm):
         return cls(n)
 
     @classmethod
-    def from_rows(cls, rows) -> "SkewMatrix":
-        rows = [list(r) for r in rows]
-        n = len(rows)
-        upper = {}
-        for i in range(n):
-            if len(rows[i]) != n:
-                raise ValueError("matrix must be square")
-            if rows[i][i]:
-                raise ValueError("diagonal of a skew matrix must vanish")
-            for j in range(i + 1, n):
-                if rows[i][j] != -rows[j][i]:
-                    raise ValueError("matrix is not antisymmetric")
-                if rows[i][j]:
-                    upper[(i + 1, j + 1)] = rows[i][j]
-        return cls(n, upper)
-
-    @classmethod
     def from_form(cls, phi: AltForm) -> "SkewMatrix":
         if phi.degree != 2:
             raise ValueError("expected a two-form")
-        return cls(phi.dim, dict(phi.comps))
-
-    def to_form(self) -> AltForm:
-        return AltForm(2, self.n, dict(self.upper))
+        return cls(phi.dim, phi.comps)
 
     def to_matrix(self) -> Matrix:
         return Matrix(
@@ -96,17 +60,6 @@ class SkewMatrix(AltForm):
             return self.upper.get((i, j), Fraction(0))
         v = self.upper.get((j, i))
         return Fraction(0) if v is None else -v
-
-    def apply(self, vec) -> tuple:
-        """Matrix-vector product S v."""
-        vec = list(vec)
-        if len(vec) != self.n:
-            raise ValueError("vector length does not match")
-        out = [Fraction(0)] * self.n
-        for (i, j), s in self.upper.items():
-            out[i - 1] = out[i - 1] + s * vec[j - 1]
-            out[j - 1] = out[j - 1] - s * vec[i - 1]
-        return tuple(out)
 
     def __repr__(self):
         return "SkewMatrix(%d, %r)" % (self.n, self.upper)

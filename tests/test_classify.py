@@ -11,10 +11,15 @@ from hamforms import (
     Matrix,
     NotInThetaEta,
     NullSystemOrbit,
+    ProjectiveMap,
     RatFunc,
+    ReciprocalMap,
     SkewMatrix,
     StructureForm,
+    ValidationError,
     WrongTBlock,
+    apply_projective,
+    apply_reciprocal,
     canonical_form_n2,
     canonical_n2_pair,
     canonical_n4_pair,
@@ -28,11 +33,12 @@ from hamforms import (
     q_form,
     stabilizer_audit,
     symplectic_split,
+    wedge,
 )
 from hamforms.classify import eta_gram
 from hamforms.sampling import random_skew
 
-from helpers import pairs_equal, random_symplectic
+from helpers import pairs_equal, random_invertible, random_symplectic
 
 
 def test_split_of_reference_form():
@@ -65,7 +71,7 @@ def test_q_is_twice_pfaffian():
     rng = Lcg(424242)
     for _ in range(25):
         raw = random_skew(rng, 4, max_num=9)
-        th = symplectic_split(raw.to_form()).theta
+        th = symplectic_split(raw).theta
         qv = q_form(th)
         t0, t13, t14 = th.get(1, 2), th.get(1, 3), th.get(1, 4)
         t23, t24 = th.get(2, 3), th.get(2, 4)
@@ -75,14 +81,14 @@ def test_q_is_twice_pfaffian():
 
 def test_q_rejects_outside_domain():
     with pytest.raises(NotInThetaEta):
-        q_form(SkewMatrix(4, {(1, 2): Fraction(1)}).to_form())
+        q_form(SkewMatrix(4, {(1, 2): Fraction(1)}))
 
 
 def test_q_invariant_under_symplectic_pullback():
     rng = Lcg(424243)
     for _ in range(10):
         raw = random_skew(rng, 4, max_num=7)
-        th = symplectic_split(raw.to_form()).theta
+        th = symplectic_split(raw).theta
         cmat = random_symplectic(rng, eta_gram())
         assert q_form(pullback_linear(th, cmat)) == q_form(th)
 
@@ -183,7 +189,7 @@ def test_invariants_stable_under_symplectic_change():
         p0 = HamPair(AltForm(3, 4), j4, raw, b)
         r0 = classify_n4(form_from_pair(p0))
         cmat = random_symplectic(rng, eta_gram())
-        pulled = SkewMatrix.from_form(pullback_linear(raw.to_form(), cmat))
+        pulled = SkewMatrix.from_form(pullback_linear(raw, cmat))
         p1 = HamPair(AltForm(3, 4), j4, pulled, b)
         r1 = classify_n4(form_from_pair(p1))
         assert r0.invariants == r1.invariants
@@ -206,3 +212,76 @@ def test_stabilizer_audit():
     assert rep["exact"] == {"transvection": True, "shear": True,
                             "torus": True}
     assert not rep["negative_control_preserved"]
+
+
+# -- Hitchin's quartic: an orbit invariant that needs no reduction --------
+
+
+def hitchin_lambda(phi: AltForm):
+    """Hitchin's quartic lambda(phi) of a three-form on six coordinates.
+
+    K(e_b) is the vector whose contraction with du1^...^du6 is the
+    five-form iota_{e_b}(phi) ^ phi, so K(e_b)^a is (-1)^(a-1) times the
+    component at [6] minus a; lambda = tr(K^2) / 6.  A pullback by m
+    scales it by det(m)^2, so its sign is a GL(6) invariant (Hitchin,
+    J. Differential Geom. 55 (2000) 547-576).
+    """
+    top = range(1, 7)
+    k = [[None] * 6 for _ in top]
+    for b in top:
+        iota = AltForm(2, 6, {(i, j): phi.get(b, i, j)
+                              for i in top for j in top if i < j})
+        five = wedge(iota, phi)
+        for a in top:
+            c = five.get(*(t for t in top if t != a))
+            k[a - 1][b - 1] = c if a % 2 else -c
+    return sum(k[a][b] * k[b][a] for a in range(6) for b in range(6)) / 6
+
+
+def _sign(x) -> int:
+    return (x > 0) - (x < 0)
+
+
+def test_hitchin_sign_is_minus_the_sign_of_q():
+    forms = [form_from_pair(canonical_n4_pair(Fraction(te), Fraction(t13)))
+             for te in (0, 3, Fraction(-1, 2))
+             for t13 in (-2, 0, Fraction(5, 3))]
+    # standard position: metric block eta ^ du5, integer A and B
+    rng = Lcg(424245)
+    upper = [(i, j) for i in range(1, 5) for j in range(i + 1, 5)]
+    for _ in range(100):
+        comps = {(1, 2, 5): 1, (3, 4, 5): 1}
+        comps.update({(i, j, 6): rng.randint(-3, 3) for i, j in upper})
+        comps.update({(i, 5, 6): rng.randint(-3, 3) for i in range(1, 5)})
+        forms.append(StructureForm.from_comps(4, comps))
+    signs = []
+    for sf in forms:
+        q = classify_n4(sf).invariants[1]
+        lam = hitchin_lambda(sf.form)
+        assert _sign(lam) == -_sign(q)
+        signs.append(_sign(lam))
+    assert {-1, 0, 1} <= set(signs)
+
+
+def test_hitchin_sign_survives_the_transforms():
+    # each image is the pullback of the structure form along the inverse
+    # of a matrix with determinant det, so lambda is divided by det^2
+    rng = Lcg(424246)
+    signs = set()
+    for _ in range(20):
+        pair = HamPair.random(rng, 4)
+        lam = hitchin_lambda(form_from_pair(pair).form)
+        signs.add(_sign(lam))
+        a = random_invertible(rng, 5, max_num=3)
+        while True:
+            c = [rng.fraction(3) for _ in range(12)]
+            try:
+                r = ReciprocalMap(4, c[:4], c[4], c[5], c[6:10], c[10], c[11])
+                break
+            except ValidationError:
+                continue
+        images = [(apply_projective(pair, ProjectiveMap(a))[0], a.det()),
+                  (apply_reciprocal(pair, r), r.ax0 * r.dt0 - r.bt * r.cx)]
+        for image, det in images:
+            assert hitchin_lambda(form_from_pair(image).form) * det ** 2 == lam
+    assert signs == {-1, 1}

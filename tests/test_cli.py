@@ -314,8 +314,8 @@ def _terms(entries):
     return [{"idx": list(idx), "coeff": c} for idx, c in entries]
 
 
-# six fields, two cubic entries: sampling takes well under a second,
-# a symbolic check would take minutes
+# six fields, two cubic entries: the sampled check takes about 0.02 s
+# and the symbolic one under 0.01 s in process
 N6_PAIR = {
     "N": 6,
     "T": {"degree": 3, "dim": 6,

@@ -13,6 +13,7 @@ import pytest
 from hamforms import AltForm, DimensionMismatch, Lcg, Matrix, contract_bivector
 from hamforms import pullback_linear, wedge
 from hamforms.forms import perm_sign
+from hamforms.serialize import form_from_dict, form_to_dict
 
 
 def random_form(rng, degree, dim, nterms=4):
@@ -59,6 +60,12 @@ def test_constructor_folds_signs():
     assert f.get(2, 1) == 5
     g = AltForm(2, 3, {(1, 2): Fraction(1), (2, 1): Fraction(1)})
     assert g.is_zero()
+    # any degree: a five-form on six coordinates round trips
+    h = AltForm(5, 6, {(2, 1, 3, 4, 6): Fraction(7), (2, 3, 4, 5, 6): 1})
+    assert h.get(1, 2, 3, 4, 6) == -7 and h.get(3, 2, 4, 5, 6) == -1
+    assert AltForm(5, 6, h.comps) == h
+    assert form_from_dict(form_to_dict(h)) == h
+    assert AltForm(7, 6, {(1, 2, 3, 4, 5, 6, 6): Fraction(1)}).is_zero()
 
 
 def test_constructor_rejects_bad_indices():
@@ -71,7 +78,8 @@ def test_constructor_rejects_bad_indices():
 
 def test_wedge_against_antisymmetrization():
     rng = Lcg(31)
-    cases = [(1, 1, 4), (1, 2, 4), (2, 2, 5), (1, 3, 5), (2, 1, 4)]
+    cases = [(1, 1, 4), (1, 2, 4), (2, 2, 5), (1, 3, 5), (2, 1, 4),
+             (2, 3, 6), (3, 3, 6), (3, 2, 4)]
     for pdeg, qdeg, dim in cases:
         a = random_form(rng, pdeg, dim)
         b = random_form(rng, qdeg, dim)
@@ -100,10 +108,14 @@ def test_wedge_bilinear():
 
 def test_wedge_associative():
     rng = Lcg(34)
-    a = random_form(rng, 1, 5)
-    b = random_form(rng, 1, 5)
-    c = random_form(rng, 2, 5)
-    assert wedge(wedge(a, b), c) == wedge(a, wedge(b, c))
+    # total degree 7 on 7 coordinates is the top degree of Bryant's form
+    for degrees, dim in [((1, 1, 2), 5), ((2, 2, 3), 7), ((3, 3, 1), 7)]:
+        a, b, c = (random_form(rng, d, dim, nterms=8) for d in degrees)
+        assert wedge(wedge(a, b), c) == wedge(a, wedge(b, c))
+    # top-degree products: eta ^ eta ^ eta = 6 du1^...^du6
+    eta = AltForm(2, 6, {(1, 2): 1, (3, 4): 1, (5, 6): 1})
+    assert wedge(wedge(eta, eta), eta) == \
+        AltForm(6, 6, {(1, 2, 3, 4, 5, 6): Fraction(6)})
 
 
 def test_pullback_identity():

@@ -115,7 +115,8 @@ def test_skew_inverse():
 def test_form_roundtrip():
     rng = Lcg(20)
     s = random_skew(rng, 4)
-    assert SkewMatrix.from_form(s.to_form()) == s
+    back = SkewMatrix.from_form(AltForm(2, 4, s.upper))
+    assert type(back) is SkewMatrix and back == s
 
 
 def test_arithmetic():
@@ -125,17 +126,6 @@ def test_arithmetic():
     assert (s + t) - t == s
     assert s + (-s) == SkewMatrix.zero(4)
     assert s.scale(Fraction(3)).get(1, 2) == 3 * s.get(1, 2)
-
-
-def test_apply():
-    s = SkewMatrix(2, {(1, 2): Fraction(2)})
-    assert s.apply((Fraction(1), Fraction(0))) == (Fraction(0), Fraction(-2))
-    assert s.apply((Fraction(0), Fraction(1))) == (Fraction(2), Fraction(0))
-
-
-def test_from_rows_validates():
-    m = Matrix.from_strings([["0", "5"], ["-5", "0"]])
-    assert SkewMatrix.from_rows(m.rows).get(1, 2) == 5
 
 
 def test_skew_matrix_is_the_two_form():
@@ -164,8 +154,16 @@ def test_skew_matrix_is_the_two_form():
         assert type(out) is SkewMatrix, name
         assert all(out.get(i, j) == entry(i, j)
                    for i in range(1, 5) for j in range(1, 5) if i < j), name
+    # construction is AltForm's: a (j, i) key adds into (i, j) with the
+    # sign, ints become Fractions, a zero diagonal entry is dropped
+    acc = SkewMatrix(3, {(1, 2): 5, (2, 1): Fraction(2), (3, 3): 0})
+    assert acc.upper == {(1, 2): Fraction(3)}
+    assert type(acc.upper[(1, 2)]) is Fraction
+    assert SkewMatrix(3, {(1, 3): 1, (3, 1): 1}).is_zero()
     with pytest.raises(ValueError):
         SkewMatrix(3, {(2, 2): Fraction(1)})
     with pytest.raises(ValueError):
         SkewMatrix(3, {(1, 4): Fraction(1)})
+    with pytest.raises(TypeError):
+        SkewMatrix(3, {(1, 2): "1"})
     assert SkewMatrix(3, {(2, 2): Fraction(0)}).is_zero()
