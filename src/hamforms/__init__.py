@@ -37,7 +37,7 @@ _EXPORTS = {
     "congruence": (
         "plucker_coords", "plucker_homogeneous", "grassmann_check",
         "congruence_matrix", "congruence_rank", "annihilation_check",
-        "congruence_checks", "pair_columns", "sign_normalize_rows"),
+        "congruence_checks", "pair_columns"),
     "classify": (
         "SymplecticSplit", "ClassificationResult", "symplectic_split",
         "q_form", "classify_n2", "classify_n4", "canonical_n2_pair",

@@ -91,14 +91,10 @@ def _mode_of(args, n=None) -> dict:
     if (sample is None and n is not None and not args.symbolic
             and auto_mode(n) == "sampled"):
         sample = _DEFAULT_SAMPLES
-    if n is not None and args.symbolic and auto_mode(n) == "sampled":
-        if n > _SYMBOLIC_MAX_N:
-            raise ValidationError(
-                "--symbolic at N = %d runs for half a minute or more; "
-                "--sample <n> tests n random points" % n)
-        print("note: --symbolic at N = %d overrides the sampled default and "
-              "can take long; --sample <n> tests n random points" % n,
-              file=sys.stderr)
+    if n is not None and args.symbolic and n > _SYMBOLIC_MAX_N:
+        raise ValidationError(
+            "--symbolic at N = %d runs for half a minute or more; "
+            "--sample <n> tests n random points" % n)
     if n is None or sample is None:
         return {"kind": "symbolic", "samples": None, "seed": args.seed}
     return {"kind": "sampled", "samples": sample, "seed": args.seed}

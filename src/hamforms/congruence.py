@@ -18,7 +18,7 @@ from .errors import DimensionMismatch, PoleError
 from .forms import contract_bivector
 from .linalg import Matrix, rank_and_left_nullvector
 from .poly import Poly, RatFunc, lift
-from .sampling import _Vals, _first_failures, _residue_points
+from .sampling import run_check
 
 
 def pair_columns(dim: int) -> list:
@@ -138,59 +138,28 @@ def congruence_checks(sf: StructureForm, p: dict, mode: str, samples: int,
     """Annihilation and quadric checks of the polynomial line coordinates
     p against the pair's structure form sf, proved symbolically or sampled.
 
-    Sampled mode reduces the coordinates, and any polynomial component of
-    the form, to residues mod 2^61 - 1 at `samples` points where
-    p^{N+1,N+2} does not vanish, adds "modulus", "degree", "points" and
-    "bound" as `check_compat` does, with the residual degree bound
-    d = max deg p^{ab} + max(max deg p^{ab}, degree of the form), and
-    reports a residual as its first failing point and residue there."""
+    Sampled mode evaluates the coordinates, and any polynomial component
+    of the form, through `sampling.run_check` at residue points where
+    p^{N+1,N+2} does not vanish, with the residual degree bound
+    d = max deg p^{ab} + max(max deg p^{ab}, degree of the form)."""
     dim = sf.N + 2
-    out = {"mode": mode}
-    if mode == "sampled":
-        last = p[(dim - 1, dim)]
+    if mode not in ("symbolic", "sampled"):
+        raise ValueError("mode must be symbolic or sampled")
+
+    def bound():
         deg_p = max(c.total_degree() for c in p.values())
         deg_w = max((c.total_degree() for c in sf.form.comps.values()
                      if isinstance(c, Poly)), default=0)
-        points, keys = _residue_points(last, deg_p + max(deg_p, deg_w),
-                                       samples, seed)
-        out.update(keys)
-        memos = [{} for _ in points]
+        return p[(dim - 1, dim)], deg_p + max(deg_p, deg_w)
 
-        def conv(c):
-            return _Vals.at(c, points, memos) if isinstance(c, Poly) else c
+    def residuals(conv):
+        q = {k: conv(c) for k, c in p.items()}
+        form = StructureForm(sf.N, sf.form.map_coeffs(conv))
+        return (annihilation_check(form, q)["residuals"],
+                grassmann_check(q, dim)["residuals"])
 
-        p = {k: conv(c) for k, c in p.items()}
-        sf = StructureForm(sf.N, sf.form.map_coeffs(conv))
-    elif mode != "symbolic":
-        raise ValueError("mode must be symbolic or sampled")
-    ann = annihilation_check(sf, p)["residuals"]
-    quad = grassmann_check(p, dim)["residuals"]
-    if mode == "sampled":
-        ann, quad = _first_failures(points, ann), _first_failures(points, quad)
-    return dict(out, annihilation=ann, quadrics=quad)
-
-
-def _lead_sign(v) -> int:
-    if isinstance(v, (int, Fraction)):
-        return (v > 0) - (v < 0)
-    if isinstance(v, RatFunc):
-        v = v.num
-    if v.is_zero():
-        return 0
-    return 1 if v.leading()[1] > 0 else -1
-
-
-def sign_normalize_rows(m: Matrix) -> Matrix:
-    """Scale each row by -1 when its first nonzero entry is negative."""
-    rows = []
-    for row in m.rows:
-        s = 0
-        for v in row:
-            s = _lead_sign(v)
-            if s:
-                break
-        rows.append([-v for v in row] if s < 0 else list(row))
-    return Matrix(rows)
+    (ann, quad), keys = run_check(mode, residuals, bound, samples, seed)
+    return {"mode": mode, **keys, "annihilation": ann, "quadrics": quad}
 
 
 def congruence_rank(sf: StructureForm) -> dict:

@@ -30,7 +30,7 @@ from .errors import OddDimension
 from .forms import AltForm
 from .poly import Poly, RatFunc, exact_div, poly_gcd
 from .sampling import Lcg, random_skew, random_three_form, random_vector
-from .sampling import _Vals, _first_failures, _residue_points
+from .sampling import run_check
 from .skew import SkewMatrix, pfaffian, pfaffian_adjugate
 
 _DEFAULT_SEED = 715225741
@@ -305,14 +305,10 @@ def check_compat(pair, mode: str = "auto", samples: int = 20, seed: int = _DEFAU
     g . V holds no second derivative of g, and totally antisymmetric, so
     its terms cancel from the symmetrised Jacobian.  Only derivatives in
     the field directions u^1..u^N enter.  The symbolic mode proves the
-    identities as polynomial identities.  The sampled mode evaluates the
-    same combinations modulo the prime p = 2^61 - 1 at `samples` uniform
-    residue points where P does not vanish mod p.  Every residual has
-    total degree at most d = deg g + max deg n^k + 2 deg P - 1 in the ring
-    variables; the sampled report adds "modulus", "degree" (d), "points"
-    and the Schwartz-Zippel "bound" (d / (p - deg P))^samples, an exact
-    Fraction.  A residual whose every coefficient is divisible by p
-    cannot be seen this way.
+    identities as polynomial identities; the sampled mode evaluates them
+    through `sampling.run_check` at residue points where P does not
+    vanish, with the "degree" d = deg g + max deg n^k + 2 deg P - 1 that
+    bounds the total degree of every residual in the ring variables.
 
     Returns a report holding any nonzero residuals: the residual
     polynomial in symbolic mode, the first failing point (residues) and
@@ -326,68 +322,55 @@ def check_compat(pair, mode: str = "auto", samples: int = 20, seed: int = _DEFAU
     nums, P = pair.flux_cleared()
     W = [_row_dot(pair.metric, q, nums, nvars) for q in range(1, N + 1)]
 
-    bound_keys = {}
-    if mode == "sampled":
+    def bound():
         deg_g = max((e.total_degree() for e in pair.metric.upper.values()),
                     default=0)
         deg_n = max(n.total_degree() for n in nums)
-        deg_p = P.total_degree()
-        degree = max(0, deg_g + deg_n + 2 * deg_p - 1)
-        points, bound_keys = _residue_points(P, degree, samples, seed)
-        memos = [{} for _ in points]
+        return P, max(0, deg_g + deg_n + 2 * P.total_degree() - 1)
 
-        def conv(p):
-            return _Vals.at(p, points, memos)
-    else:
+    def residuals(conv):
+        fields = range(1, N + 1)
+        grad_W = [[w.diff(p) for p in fields] for w in W]
+        grad_P = [P.diff(p) for p in fields]
+        dd_W = [_hessian(grad, conv) for grad in grad_W]
+        ddP = _hessian(grad_P, conv)
+        d_W = [[conv(p) for p in grad] for grad in grad_W]
+        dP = [conv(p) for p in grad_P]
+        W_, P_ = [conv(w) for w in W], conv(P)
 
-        def conv(p):
-            return p
+        @cache
+        def d1(q, l):
+            # numerator of (W_q / P)_{,l} over P^2; q and l are 1-based
+            return d_W[q - 1][l - 1] * P_ - W_[q - 1] * dP[l - 1]
 
-    fields = range(1, N + 1)
-    grad_W = [[w.diff(p) for p in fields] for w in W]
-    grad_P = [P.diff(p) for p in fields]
-    dd_W = [_hessian(grad, conv) for grad in grad_W]
-    ddP = _hessian(grad_P, conv)
-    d_W = [[conv(p) for p in grad] for grad in grad_W]
-    dP = [conv(p) for p in grad_P]
-    W = [conv(w) for w in W]
-    P = conv(P)
+        @cache
+        def d2(q, p, l):
+            # numerator of (W_q / P)_{,pl} over P^3; all indices 1-based
+            lead = (
+                dd_W[q - 1][p - 1][l - 1] * P_
+                + d_W[q - 1][p - 1] * dP[l - 1]
+                - d_W[q - 1][l - 1] * dP[p - 1]
+                - W_[q - 1] * ddP[p - 1][l - 1]
+            )
+            return lead * P_ - (dP[l - 1] * d1(q, p)) * 2
 
-    @cache
-    def d1(q, l):
-        # numerator of (W_q / P)_{,l} over P^2; q and l are 1-based
-        return d_W[q - 1][l - 1] * P - W[q - 1] * dP[l - 1]
-
-    @cache
-    def d2(q, p, l):
-        # numerator of (W_q / P)_{,pl} over P^3; all indices 1-based
-        lead = (
-            dd_W[q - 1][p - 1][l - 1] * P
-            + d_W[q - 1][p - 1] * dP[l - 1]
-            - d_W[q - 1][l - 1] * dP[p - 1]
-            - W[q - 1] * ddP[p - 1][l - 1]
-        )
-        return lead * P - (dP[l - 1] * d1(q, p)) * 2
-
-    first = {}
-    for p in range(1, N + 1):
-        for q in range(p, N + 1):
-            acc = d1(q, p) + d1(p, q)
-            if acc:
-                first[(p, q)] = acc
-
-    second = {}
-    for q in range(1, N + 1):
-        for p in range(1, N + 1):
-            for l in range(1, N + 1):
-                # the Hessian is symmetric in p and l
-                acc = d2(q, min(p, l), max(p, l))
+        first, second = {}, {}
+        for p in fields:
+            for q in range(p, N + 1):
+                acc = d1(q, p) + d1(p, q)
                 if acc:
-                    second[(q, p, l)] = acc
-    if mode == "sampled":
-        first = _first_failures(points, first)
-        second = _first_failures(points, second)
+                    first[(p, q)] = acc
+        for q in fields:
+            for p in fields:
+                for l in fields:
+                    # the Hessian is symmetric in p and l
+                    acc = d2(q, min(p, l), max(p, l))
+                    if acc:
+                        second[(q, p, l)] = acc
+        return first, second
 
+    (first, second), bound_keys = run_check(mode, residuals, bound, samples,
+                                            seed)
     return {
         "mode": mode,
         "first_order": first,

@@ -2,9 +2,10 @@
 
 A fixed 64-bit linear congruential generator (Knuth's MMIX constants)
 keeps every sampled check reproducible from a single integer seed, with
-no dependence on interpreter hashing or library versions.  Both sampled
-checks, `check_compat` and `congruence_checks`, evaluate residues modulo
-the prime 2^61 - 1 through the sampler at the end of this module.
+no dependence on interpreter hashing or library versions.  `run_check`,
+at the end of this module, is the one proof-or-sample policy: both
+checks, `check_compat` and `congruence_checks`, are proved through it
+or sampled at residues modulo the prime 2^61 - 1.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from fractions import Fraction
 
 from .errors import NoResidue
 from .forms import AltForm
-from .poly import unpack
+from .poly import Poly, unpack
 from .skew import SkewMatrix
 
 _MULT = 6364136223846793005
@@ -170,12 +171,24 @@ class _Vals:
         return any(self.v)
 
 
-def _residue_points(avoid, degree: int, samples: int, seed: int) -> tuple:
-    """`samples` uniform residue points mod MODULUS, in the ring of the
-    polynomial `avoid`, where it does not vanish, and the report keys of
-    a check there.  By Schwartz-Zippel a residual of degree <= `degree`
-    that is nonzero mod MODULUS vanishes at all the points with
-    probability at most the exact Fraction "bound"."""
+def run_check(mode: str, build, bound, samples: int, seed: int) -> tuple:
+    """The one proof-or-sample policy of the checks.
+
+    `build(conv)` returns the residuals, a tuple of dicts, of polynomials
+    it passed through `conv`.  A symbolic check calls it with the identity:
+    a proof.  A sampled one takes (avoid, degree) = bound() and draws
+    `samples` uniform residue points mod MODULUS in the ring of `avoid`,
+    where it does not vanish; `conv` takes a Poly to its residues there,
+    with one monomial memo per point, and passes scalars through, and a
+    residual is reported as its first failing point and residue there.
+    By Schwartz-Zippel a residual of degree <= `degree` that is nonzero
+    mod MODULUS vanishes at every point with probability at most "bound"
+    = (degree / (MODULUS - deg avoid))^samples, an exact Fraction; it is
+    one of the report keys returned with the residuals, none for a proof.
+    """
+    if mode == "symbolic":
+        return build(lambda c: c), {}
+    avoid, degree = bound()
     if samples < 1:
         raise ValueError("sampled mode needs at least one point")
     terms = _reduced_terms(avoid)
@@ -185,15 +198,17 @@ def _residue_points(avoid, degree: int, samples: int, seed: int) -> tuple:
         x = tuple(_random_residue(rng) for _ in range(avoid.num_vars))
         if _eval_mod(terms, x, {}):
             points.append(x)
-    bound = Fraction(degree, MODULUS - avoid.total_degree()) ** samples
-    return points, {"modulus": MODULUS, "degree": degree, "points": samples,
-                    "bound": bound}
+    memos = [{} for _ in points]
 
+    def conv(c):
+        return _Vals.at(c, points, memos) if isinstance(c, Poly) else c
 
-def _first_failures(points, residuals: dict) -> dict:
-    """Each sampled residual as its first failing point and residue there."""
-    out = {}
-    for key, acc in residuals.items():
+    def first_failure(acc):
         i = next(i for i, v in enumerate(acc.v) if v)
-        out[key] = {"point": points[i], "value": acc.v[i]}
-    return out
+        return {"point": points[i], "value": acc.v[i]}
+
+    residuals = tuple({key: first_failure(acc) for key, acc in r.items()}
+                      for r in build(conv))
+    prob = Fraction(degree, MODULUS - avoid.total_degree()) ** samples
+    return residuals, {"modulus": MODULUS, "degree": degree,
+                       "points": samples, "bound": prob}

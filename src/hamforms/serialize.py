@@ -89,7 +89,7 @@ def form_from_dict(d, where: str = "form", degree=None, dim=None) -> AltForm:
                               % (where, degree, deg))
     if dim is not None and n != dim:
         raise ValidationError("%s: dim must be %d, got %d" % (where, dim, n))
-    if deg < 1 or n < 0:
+    if deg < 1 or n < 1:
         raise ValidationError("%s: degree %d on dim %d is not supported"
                               % (where, deg, n))
     comps = _terms_from_list(d.get("terms"), deg, n, where)

@@ -387,15 +387,14 @@ def test_symbolic_stays_the_default_up_to_four_fields(capsys, pair_file):
     assert json.loads(out)["mode"]["kind"] == "symbolic"
 
 
-def test_symbolic_above_four_fields_gives_notice(capsys, tmp_path):
+def test_symbolic_at_six_fields_runs_without_notice(capsys, tmp_path):
     path = tmp_path / "n6.json"
     path.write_text(json.dumps(N6_PAIR))
     for command in ("verify", "congruence"):
         argv = (command, "--pair", str(path), "--format", "json")
         code, out, err = run(capsys, *argv, "--symbolic")
         assert code == 0 and json.loads(out)["mode"]["kind"] == "symbolic"
-        assert len(err.splitlines()) == 1
-        assert "N = 6" in err and "--sample" in err
+        assert err == ""
         for extra in ([], ["--sample", "3"]):
             assert run(capsys, *argv, *extra)[2] == ""
 

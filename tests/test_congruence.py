@@ -13,7 +13,6 @@ import pytest
 from hamforms import (
     HamPair,
     Lcg,
-    Matrix,
     PoleError,
     Poly,
     RatFunc,
@@ -31,7 +30,6 @@ from hamforms import (
     plucker_coords,
     plucker_homogeneous,
     rhs_covector,
-    sign_normalize_rows,
 )
 from hamforms.poly import exact_div
 
@@ -375,12 +373,3 @@ def test_homogeneous_four_fields_spot_coefficients():
     assert _param_coefficient(p12, [(1, 2)]) == -g13 * a14 + g14 * a13
     assert _param_coefficient(p12, [(2, 1), (5, 1)]) == \
         g23 * b4 - g24 * b3 + g34 * b2
-
-
-def test_sign_normalize_rows():
-    m = Matrix.from_strings([["0", "-2", "1"], ["3", "0", "0"], ["0", "0", "0"]])
-    out = sign_normalize_rows(m)
-    assert tuple(out.rows[0]) == (Fraction(0), Fraction(2), Fraction(-1))
-    assert tuple(out.rows[1]) == (Fraction(3), Fraction(0), Fraction(0))
-    assert tuple(out.rows[2]) == (Fraction(0), Fraction(0), Fraction(0))
-    assert sign_normalize_rows(out) == out

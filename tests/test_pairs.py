@@ -29,7 +29,7 @@ from hamforms import (
     rhs_covector,
 )
 from hamforms.poly import divides
-from hamforms.sampling import _Vals, _first_failures, _residue_points
+from hamforms.sampling import run_check
 
 from helpers import (P61, generic_pair_n2, generic_pair_n4, mod_eval,
                      pairs_equal)
@@ -421,80 +421,72 @@ def _compat_oracle(pair, mode, samples=20, seed=715225741):
     """check_compat's report from the identities written with V^k = n^k / P:
     the first sum_j g_qj V^j_{,p} + g_pj V^j_{,q} over P^2, the second
     sum_k g_qk V^k_{,pl} + mcubic_pqk V^k_{,l} + mcubic_qkl V^k_{,p} over
-    P^3, sampled at the points of the same `_residue_points`."""
-    N, nvars = pair.N, pair.nvars
+    P^3, proved or sampled by the same `run_check`."""
+    N = pair.N
     nums, P = pair.flux_cleared()
-    keys = {}
-    if mode == "sampled":
+    f = range(1, N + 1)
+
+    def bound():
         deg_g = max((e.total_degree() for e in pair.metric.upper.values()),
                     default=0)
-        degree = max(0, deg_g + max(n.total_degree() for n in nums)
-                     + 2 * P.total_degree() - 1)
-        points, keys = _residue_points(P, degree, samples, seed)
-        memos = [{} for _ in points]
+        return P, max(0, deg_g + max(n.total_degree() for n in nums)
+                      + 2 * P.total_degree() - 1)
 
-        def conv(p):
-            return _Vals.at(p, points, memos)
-    else:
+    def residuals(conv):
+        dn = [[conv(n.diff(p)) for p in f] for n in nums]
+        dP = [conv(P.diff(p)) for p in f]
+        n_, P_ = [conv(n) for n in nums], conv(P)
 
-        def conv(p):
-            return p
+        @cache
+        def dd(k, p, l):
+            # (n^k or, for k = 0, P) differentiated by u^p and u^l, p <= l
+            return conv((nums[k - 1] if k else P).diff(p).diff(l))
 
-    f = range(1, N + 1)
-    dn = [[conv(n.diff(p)) for p in f] for n in nums]
-    dP = [conv(P.diff(p)) for p in f]
-    n_, P_ = [conv(n) for n in nums], conv(P)
+        def g(i, j):
+            c = pair.metric.get(i, j)
+            return conv(c) if c else None
 
-    @cache
-    def dd(k, p, l):
-        # (n^k or, for k = 0, P) differentiated by u^p and u^l, p <= l
-        return conv((nums[k - 1] if k else P).diff(p).diff(l))
+        def cubic(i, j, k):
+            c = pair.mcubic.get(i, j, k)
+            return conv(c) if c else None
 
-    def g(i, j):
-        c = pair.metric.get(i, j)
-        return conv(c) if c else None
+        @cache
+        def d1(k, l):
+            return dn[k - 1][l - 1] * P_ - n_[k - 1] * dP[l - 1]
 
-    def cubic(i, j, k):
-        c = pair.mcubic.get(i, j, k)
-        return (conv(c) if isinstance(c, Poly) else c) if c else None
+        @cache
+        def d1P(k, l):
+            return d1(k, l) * P_
 
-    @cache
-    def d1(k, l):
-        return dn[k - 1][l - 1] * P_ - n_[k - 1] * dP[l - 1]
+        @cache
+        def d2(k, p, l):
+            lead = (dd(k, p, l) * P_ + dn[k - 1][p - 1] * dP[l - 1]
+                    - dn[k - 1][l - 1] * dP[p - 1] - n_[k - 1] * dd(0, p, l))
+            return lead * P_ - (dP[l - 1] * d1(k, p)) * 2
 
-    @cache
-    def d1P(k, l):
-        return d1(k, l) * P_
+        def total(terms):
+            terms = [a * b for a, b in terms if a is not None]
+            return sum(terms[1:], terms[0]) if terms else None
 
-    @cache
-    def d2(k, p, l):
-        lead = (dd(k, p, l) * P_ + dn[k - 1][p - 1] * dP[l - 1]
-                - dn[k - 1][l - 1] * dP[p - 1] - n_[k - 1] * dd(0, p, l))
-        return lead * P_ - (dP[l - 1] * d1(k, p)) * 2
-
-    def total(terms):
-        terms = [a * b for a, b in terms if a is not None]
-        return sum(terms[1:], terms[0]) if terms else None
-
-    first, second = {}, {}
-    for p in f:
-        for q in range(p, N + 1):
-            acc = total([(g(q, j), d1(j, p)) for j in f]
-                        + [(g(p, j), d1(j, q)) for j in f])
-            if acc:
-                first[(p, q)] = acc
-    for q in f:
+        first, second = {}, {}
         for p in f:
-            for l in f:
-                acc = total([(g(q, k), d2(k, min(p, l), max(p, l)))
-                             for k in f]
-                            + [(cubic(p, q, k), d1P(k, l)) for k in f]
-                            + [(cubic(q, k, l), d1P(k, p)) for k in f])
+            for q in range(p, N + 1):
+                acc = total([(g(q, j), d1(j, p)) for j in f]
+                            + [(g(p, j), d1(j, q)) for j in f])
                 if acc:
-                    second[(q, p, l)] = acc
-    if mode == "sampled":
-        first = _first_failures(points, first)
-        second = _first_failures(points, second)
+                    first[(p, q)] = acc
+        for q in f:
+            for p in f:
+                for l in f:
+                    acc = total([(g(q, k), d2(k, min(p, l), max(p, l)))
+                                 for k in f]
+                                + [(cubic(p, q, k), d1P(k, l)) for k in f]
+                                + [(cubic(q, k, l), d1P(k, p)) for k in f])
+                    if acc:
+                        second[(q, p, l)] = acc
+        return first, second
+
+    (first, second), keys = run_check(mode, residuals, bound, samples, seed)
     return {"mode": mode, "first_order": first, "second_order": second,
             "checked": (N * (N + 1) // 2, N ** 3),
             "all_zero": not first and not second, **keys}

@@ -83,6 +83,11 @@ def test_omega_rejects(doc, exc):
         ser.omega_from_dict(doc)
 
 
+def test_form_rejects_zero_dimension():
+    with pytest.raises(ValidationError, match="degree 1 on dim 0"):
+        ser.form_from_dict({"degree": 1, "dim": 0, "terms": []})
+
+
 def test_pair_rejects():
     good = ser.pair_to_dict(canonical_n2_pair())
     bad = dict(good)

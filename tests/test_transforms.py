@@ -21,6 +21,7 @@ from hamforms import (
     apply_xt_exchange,
     canonical_n2_pair,
     check_compat,
+    conformal_check,
     form_from_pair,
     pair_from_form,
     pullback_linear,
@@ -65,17 +66,23 @@ def test_field_scaling():
 
 
 def test_conformal_law_random_maps():
+    # the image passes; with one constant metric entry moved it fails
     rng = Lcg(90903)
-    for n in (2, 4):
+    for n in (2, 4, 6):
         hits = 0
-        while hits < 3:
+        while hits < 5:
             p = HamPair.random(rng, n)
-            a = random_invertible(rng, n + 1)
+            phi = ProjectiveMap(random_invertible(rng, n + 1))
             try:
-                q, rep = apply_projective(p, ProjectiveMap(a))
+                q, rep = apply_projective(p, phi)
             except DegenerateImage:
                 continue
             assert rep["conformal_ok"]
+            upper = dict(q.mconst.upper)
+            upper[(1, 2)] = q.mconst.get(1, 2) + 1
+            wrong = HamPair(q.mcubic, SkewMatrix(n, upper), q.wskew,
+                            q.wconst, nvars=q.nvars)
+            assert not conformal_check(p, wrong, phi)
             hits += 1
 
 
@@ -135,10 +142,22 @@ def test_exchange_degenerate_image():
 
 
 def test_reciprocal_identity_and_exchange():
+    # the exchange's block swap is the pullback along the exchange map
     p = canonical_n2_pair()
     assert pairs_equal(apply_reciprocal(p, ReciprocalMap.identity(2)), p)
-    assert pairs_equal(apply_reciprocal(p, ReciprocalMap.exchange(2)),
-                       apply_xt_exchange(p))
+    rng = Lcg(90906)
+    degenerate = 0
+    pairs = [HamPair.random(rng, n) for n in (2, 4, 6) for _ in range(5)]
+    for p in [p] + pairs:
+        try:
+            want = apply_xt_exchange(p)
+        except DegenerateImage:
+            degenerate += 1
+            with pytest.raises(DegenerateImage):
+                apply_reciprocal(p, ReciprocalMap.exchange(p.N))
+            continue
+        assert apply_reciprocal(p, ReciprocalMap.exchange(p.N)) == want
+    assert degenerate == 1
 
 
 def test_reciprocal_generic_map_stays_compatible():
