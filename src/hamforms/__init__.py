@@ -29,7 +29,7 @@ _EXPORTS = {
     "poly": ("Poly", "RatFunc"),
     "linalg": ("Matrix",),
     "skew": ("SkewMatrix", "pfaffian", "pfaffian_adjugate", "skew_inverse"),
-    "forms": ("AltForm", "wedge", "contract_bivector", "pullback_linear"),
+    "forms": ("AltForm", "wedge", "pullback_linear"),
     "pairs": ("HamPair", "ForcedPair", "check_compat", "build_metric",
               "rhs_covector"),
     "bridge": ("StructureForm", "form_from_pair", "pair_from_form",

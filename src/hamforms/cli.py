@@ -18,10 +18,11 @@ the prime 2^61-1 and record the Schwartz-Zippel bound of the run in the
 "mode" object.  The other commands only run symbolic checks and reject
 --sample.
 
-Three caps exit with code 2: --symbolic above N = 6 (a dense N = 8
+Four caps exit with code 2: --symbolic above N = 6 (a dense N = 8
 proof takes half a minute), --sample above 1000 points (1,000 points
-take 2 to 3 s at dense N = 6) and audit field counts above 64 (audit
-time grows as N^3).
+take 2 to 3 s at dense N = 6), audit field counts above 64 (audit
+time grows as N^3) and pair or form files above N = 1000 (the
+Pfaffian recurses N/2 deep).
 
 Every subcommand builds one JSON report, and --format renders it: json
 is the report with sorted keys; text is one "path: value" line per
@@ -264,7 +265,7 @@ def cmd_congruence(args) -> int:
     rank_info = congruence_rank(sf)
     m = rank_info["matrix"]
 
-    rep = congruence_checks(sf, plucker_homogeneous(pair), mode["kind"],
+    rep = congruence_checks(m, plucker_homogeneous(pair), mode["kind"],
                             mode["samples"], mode["seed"])
     suffix = " (%d points)" % rep["points"] if "points" in rep else ""
     checks = [
@@ -340,6 +341,11 @@ def _parse_matrix_file(path) -> Matrix:
     if (not isinstance(rows, list) or not rows
             or not all(isinstance(r, list) for r in rows)):
         raise ValidationError("%s: matrix must be a list of rows" % path)
+    for i, r in enumerate(rows):
+        if len(r) != len(rows[0]):
+            raise ValidationError("%s.matrix[%d]: expected %d entries like "
+                                  "row 0, got %d"
+                                  % (path, i, len(rows[0]), len(r)))
     parsed = [[rational_from_str(v, "%s.matrix[%d][%d]" % (path, i, j))
                for j, v in enumerate(r)] for i, r in enumerate(rows)]
     return Matrix(parsed)

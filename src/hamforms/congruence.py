@@ -3,19 +3,18 @@
 A pair's flux traces out an N-parameter family of lines through the
 points (u, 1, 0) and (flux(u), 0, 1) of the (N+2)-dimensional coordinate
 space.  The 2x2 minors of those two points are the line's Pluecker
-coordinates; contracting them against the pair's structure form gives
-zero, and the coefficients of that contraction are the congruence
-matrix.
+coordinates.  The congruence matrix holds the pair's structure form,
+one row per coordinate differential and one column per index pair, and
+applied to the coordinates of the pair's own lines it vanishes: its N+2
+rows are linear equations of the congruence.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import combinations
 
 from .bridge import StructureForm
 from .errors import DimensionMismatch, PoleError
-from .forms import contract_bivector
 from .linalg import Matrix, rank_and_left_nullvector
 from .poly import Poly, RatFunc, lift
 from .sampling import run_check
@@ -40,29 +39,25 @@ def _line_minors(p, q) -> dict:
 def plucker_coords(pair, point=None) -> dict:
     """Pluecker coordinates of the line at u, keyed by increasing pairs.
 
-    With point=None the coordinates are rational functions of the
-    fields, built from the reduced flux; with a point they are rationals,
-    evaluated from the cleared flux, and the metric pfaffian must not
-    vanish there (PoleError).  The line runs through (u, 1, 0) and
-    (V, 0, 1), so p^{kl} = u^k V^l - u^l V^k for field indices,
-    p^{k,N+1} = -V^k, p^{k,N+2} = u^k and p^{N+1,N+2} = 1.
+    The minors of (u, 1, 0) and (n, 0, P), for the cleared flux V = n / P,
+    divided once by P: RatFuncs of the fields with point=None, rationals
+    at a point, where P must not vanish (PoleError).  So p^{kl} =
+    u^k V^l - u^l V^k for field indices, p^{k,N+1} = -V^k,
+    p^{k,N+2} = u^k and p^{N+1,N+2} = 1.
     """
     N, nvars = pair.N, pair.nvars
-    if point is None:
-        uu = [RatFunc.var(nvars, i) for i in range(1, N + 1)]
-        vv = list(pair.flux)
-        one, zero = RatFunc.from_const(nvars, 1), RatFunc.from_const(nvars, 0)
-    else:
+    nums, pf = pair.flux_cleared()
+    uu = [Poly.var(nvars, i) for i in range(1, N + 1)]
+    if point is not None:
         if len(point) != nvars:
             raise DimensionMismatch("point length does not match the ring")
-        nums, pf = pair.flux_cleared()
-        d = pf.eval(point)
-        if not d:
+        uu, nums, pf = ([q.eval(point) for q in uu],
+                        [q.eval(point) for q in nums], pf.eval(point))
+        if not pf:
             raise PoleError("metric pfaffian vanishes at the point")
-        uu = [Fraction(point[i]) if isinstance(point[i], int) else point[i] for i in range(N)]
-        vv = [n.eval(point) / d for n in nums]
-        one, zero = Fraction(1), Fraction(0)
-    return _line_minors(uu + [one, zero], vv + [zero, one])
+    minors = _line_minors(uu + [1, 0], [*nums, 0, pf])
+    return {k: RatFunc(c, pf) if point is None else c / pf
+            for k, c in minors.items()}
 
 
 def plucker_homogeneous(pair) -> dict:
@@ -121,42 +116,54 @@ def congruence_matrix(sf: StructureForm) -> Matrix:
     )
 
 
-def annihilation_check(sf: StructureForm, p: dict) -> dict:
-    """Contract the structure form against Pluecker coordinates.
+def _rows_on(rows, p: dict) -> dict:
+    """The congruence matrix rows applied to the line coordinates p; the
+    nonzero results, keyed by the 1-based row."""
+    keys = pair_columns(len(rows))
+    if not p.keys() <= set(keys):
+        raise ValueError("coordinate keys must be increasing index pairs")
+    cols = [(c, p[jk]) for c, jk in enumerate(keys) if jk in p]
+    out = {}
+    for i, row in enumerate(rows, 1):
+        terms = [row[c] * v for c, v in cols if row[c] and v]
+        if terms and (total := sum(terms[1:], terms[0])):
+            out[i] = total
+    return out
 
-    For the coordinates of the pair encoded by the same form the result
-    is identically zero; each component of the contraction is one row of
-    the congruence system evaluated on the line.
+
+def annihilation_check(sf: StructureForm, p: dict) -> dict:
+    """The congruence matrix of sf applied to Pluecker coordinates p.
+
+    For the coordinates of the pair encoded by the same form every row
+    vanishes identically.
     """
-    res = contract_bivector(sf.form, p)
-    bad = {i + 1: r for i, r in enumerate(res) if r}
+    bad = _rows_on(congruence_matrix(sf).rows, p)
     return {"residuals": bad, "ok": not bad}
 
 
-def congruence_checks(sf: StructureForm, p: dict, mode: str, samples: int,
+def congruence_checks(m: Matrix, p: dict, mode: str, samples: int,
                       seed: int) -> dict:
     """Annihilation and quadric checks of the polynomial line coordinates
-    p against the pair's structure form sf, proved symbolically or sampled.
+    p against the congruence matrix m, proved symbolically or sampled.
 
-    Sampled mode evaluates the coordinates, and any polynomial component
-    of the form, through `sampling.run_check` at residue points where
-    p^{N+1,N+2} does not vanish, with the residual degree bound
-    d = max deg p^{ab} + max(max deg p^{ab}, degree of the form)."""
-    dim = sf.N + 2
+    Sampled mode evaluates the coordinates, and any polynomial entry of
+    m, through `sampling.run_check` at residue points where p^{N+1,N+2}
+    does not vanish, with the residual degree bound
+    d = max deg p^{ab} + max(max deg p^{ab}, max degree of the entries)."""
+    dim = m.nrows
     if mode not in ("symbolic", "sampled"):
         raise ValueError("mode must be symbolic or sampled")
 
     def bound():
         deg_p = max(c.total_degree() for c in p.values())
-        deg_w = max((c.total_degree() for c in sf.form.comps.values()
-                     if isinstance(c, Poly)), default=0)
+        deg_w = max((v.total_degree() for row in m.rows for v in row
+                     if isinstance(v, Poly)), default=0)
         return p[(dim - 1, dim)], deg_p + max(deg_p, deg_w)
 
     def residuals(conv):
         q = {k: conv(c) for k, c in p.items()}
-        form = StructureForm(sf.N, sf.form.map_coeffs(conv))
-        return (annihilation_check(form, q)["residuals"],
-                grassmann_check(q, dim)["residuals"])
+        rows = [[conv(v) for v in row] for row in m.rows]
+        return _rows_on(rows, q), grassmann_check(q, dim)["residuals"]
 
     (ann, quad), keys = run_check(mode, residuals, bound, samples, seed)
     return {"mode": mode, **keys, "annihilation": ann, "quadrics": quad}

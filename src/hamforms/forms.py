@@ -7,7 +7,9 @@ order applies the permutation sign.  Stored data has degree 1..3;
 wedges of it reach any degree, and a degree above dim gives the zero
 form.  `skew.SkewMatrix` is the degree-2 `AltForm` read as an
 antisymmetric matrix; sums, negatives, multiples and `map_coeffs` of a
-SkewMatrix are again SkewMatrix.
+SkewMatrix are again SkewMatrix.  A three-form contracted with a
+bivector is `congruence.congruence_matrix` applied to the bivector's
+coordinates.
 """
 from __future__ import annotations
 
@@ -147,15 +149,11 @@ class AltForm:
                 comps[k] = v
         return self._like(comps)
 
-    def format(self, names=None) -> str:
+    def format(self) -> str:
         if not self.comps:
             return "0"
-        parts = []
-        for idx, c in self.sorted_items():
-            base = "^".join("du%d" % i for i in idx)
-            cs = str(c) if not isinstance(c, RatFunc) else c.format(names)
-            parts.append("(%s) %s" % (cs, base))
-        return " + ".join(parts)
+        return " + ".join("(%s) %s" % (c, "^".join("du%d" % i for i in idx))
+                          for idx, c in self.sorted_items())
 
     def __str__(self):
         return self.format()
@@ -189,31 +187,6 @@ def wedge(a: AltForm, b: AltForm) -> AltForm:
     out = AltForm.__new__(AltForm)
     out.degree, out.dim, out.comps = k, a.dim, comps
     return out
-
-
-def contract_bivector(omega: AltForm, p: dict) -> tuple:
-    """Contract a three-form with an antisymmetric bivector.
-
-    `p` maps increasing index pairs (j, k) to scalars; each unordered pair
-    is summed exactly once, i.e. component i of the result is
-
-        sum_{j<k} omega(i, j, k) * p[(j, k)].
-    """
-    if omega.degree != 3:
-        raise DimensionMismatch("contraction expects a three-form")
-    out = []
-    for i in range(1, omega.dim + 1):
-        total = None
-        for (j, k), v in p.items():
-            if j >= k:
-                raise ValueError("bivector keys must be increasing pairs")
-            w = omega.get(i, j, k)
-            if not w or not v:
-                continue
-            t = w * v
-            total = t if total is None else total + t
-        out.append(total if total is not None else Fraction(0))
-    return tuple(out)
 
 
 def pullback_linear(phi: AltForm, m: Matrix) -> AltForm:

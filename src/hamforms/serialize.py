@@ -133,11 +133,15 @@ def _expect_int(d, key: str, where: str) -> int:
     return v
 
 
+# the Pfaffian recurses N/2 deep: N = 2,002 overflows the recursion limit
+_MAX_N = 1000
+
+
 def _expect_even_n(d, where: str) -> int:
     n = _expect_int(d, "N", where)
-    if n < 2 or n % 2:
-        raise ValidationError("%s.N: expected a positive even integer, got %d"
-                              % (where, n))
+    if n < 2 or n % 2 or n > _MAX_N:
+        raise ValidationError("%s.N: expected an even integer from 2 to %d, "
+                              "got %d" % (where, _MAX_N, n))
     return n
 
 
@@ -212,6 +216,8 @@ def load_json(path: str):
                          % (path, exc.lineno, exc.colno, exc.msg))
     except ValueError:
         raise ParseError(_TOO_LONG % (path, sys.get_int_max_str_digits()))
+    except RecursionError:
+        raise ParseError("%s: JSON nested too deeply to read" % path)
 
 
 def dump_json(obj) -> str:

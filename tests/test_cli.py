@@ -269,18 +269,43 @@ def test_invalid_omega(capsys, tmp_path):
 DIGIT_LIMIT = "%d digits" % sys.get_int_max_str_digits()
 
 
+def block_diagonal_pair(n):
+    """A sparse pair on n fields: g0 = du1^du2 + du3^du4 + ..., no cubic
+    or skew part, B = (1, 0, ..., 0)."""
+    g0 = [{"idx": [k, k + 1], "coeff": "1"} for k in range(1, n, 2)]
+    return {"N": n, "T": {"degree": 3, "dim": n, "terms": []},
+            "g0": {"degree": 2, "dim": n, "terms": g0},
+            "A": {"degree": 2, "dim": n, "terms": []},
+            "B": ["1"] + ["0"] * (n - 1)}
+
+
 @pytest.mark.parametrize("body, reason", [
     (b"\xff" + json.dumps(N2_PAIR).encode(), ": not UTF-8"),
     (b'{"N": ' + b"1" * 5000 + b"}", DIGIT_LIMIT),
     (json.dumps(dict(N2_PAIR, B=["1" * 5000, "0"])).encode(),
      ".B[0]: an integer has more than " + DIGIT_LIMIT),
-], ids=["not_utf8", "long_json_integer", "long_coefficient"])
+    (b"[" * 100000 + b"]" * 100000, ": JSON nested too deeply"),
+    (json.dumps(block_diagonal_pair(1002)).encode(),
+     ".N: expected an even integer from 2 to 1000, got 1002"),
+], ids=["not_utf8", "long_json_integer", "long_coefficient", "deep_nesting",
+        "too_many_fields"])
 def test_malformed_input_is_input_error(capsys, tmp_path, body, reason):
     path = tmp_path / "malformed.json"
     path.write_bytes(body)
     code, out, err = run(capsys, "verify", "--pair", str(path))
     assert code == 2 and out == ""
     assert err.startswith("error: " + str(path)) and reason in err
+
+
+def test_ragged_projective_matrix_is_input_error(capsys, tmp_path,
+                                                 pair_file):
+    path = tmp_path / "ragged.json"
+    path.write_text(json.dumps(
+        {"matrix": [["1", "0", "0"], ["0", "1"], ["0", "0", "1"]]}))
+    code, out, err = run(capsys, "transform", "--pair", pair_file,
+                         "--projective", str(path))
+    assert code == 2 and out == ""
+    assert err.startswith("error: %s.matrix[1]:" % path)
 
 
 def test_degenerate_transform_is_input_error(capsys, tmp_path):

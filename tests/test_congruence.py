@@ -9,6 +9,7 @@ from fractions import Fraction
 from math import factorial
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hamforms import (
     HamPair,
@@ -136,6 +137,12 @@ def test_annihilation_symbolic():
         assert annihilation_check(sf, p)["ok"]
 
 
+def test_annihilation_rejects_unordered_keys():
+    sf = form_from_pair(HamPair.random(Lcg(76), 2))
+    with pytest.raises(ValueError, match="increasing index pairs"):
+        annihilation_check(sf, {(2, 1): Fraction(1)})
+
+
 def test_grassmann_symbolic_two_fields():
     pair = generic_pair_n2()
     assert grassmann_check(plucker_coords(pair), 4)["ok"]
@@ -198,6 +205,50 @@ def test_annihilation_rows_match_matrix():
     for i in range(6):
         dot = sum(m[i, j] * p.get(cols[j], Fraction(0)) for j in range(6 * 5 // 2))
         assert dot == 0
+
+
+def _bilinear_sides(pair, uu, ww, at):
+    """The congruence matrix on the minors of (u, 1, 0) and (W, 0, 1),
+    and the rows -r (1..N), u.r and W.r with r = g(u) W - w(u).
+
+    g and w come from the pair's data, not from its form; `at` reads one
+    of their entries at u, and uu, ww hold ring elements or numbers."""
+    n, nv = pair.N, max(pair.nvars, 2 * pair.N)
+    g = build_metric(pair.mcubic, pair.mconst, nv)
+    w = rhs_covector(pair.wskew, pair.wconst, nv)
+    r = [sum((at(g.get(i, j)) * ww[j - 1] for j in range(1, n + 1)),
+             -at(w[i - 1])) for i in range(1, n + 1)]
+    want = [-x for x in r] + [sum(a * x for a, x in zip(uu, r)),
+                              sum(b * x for b, x in zip(ww, r))]
+    m = congruence_matrix(form_from_pair(pair))
+    p, q = [*uu, 1, 0], [*ww, 0, 1]
+    got = [sum((m[i, c] * (p[a - 1] * q[b - 1] - p[b - 1] * q[a - 1])
+                for c, (a, b) in enumerate(pair_columns(n + 2))), 0)
+           for i in range(n + 2)]
+    return got, want
+
+
+@pytest.mark.parametrize("n", [2, 4, 6])
+def test_matrix_on_any_line_is_the_bilinear_residual(n):
+    # u and W are 2N indeterminates: the fields, then N more
+    pair = HamPair.random(Lcg(3), n)
+    uu = [Poly.var(2 * n, i) for i in range(1, n + 1)]
+    ww = [Poly.var(2 * n, i) for i in range(n + 1, 2 * n + 1)]
+    got, want = _bilinear_sides(pair, uu, ww, lambda c: c)
+    assert all(not (a - b) for a, b in zip(got, want))
+
+
+@settings(max_examples=20, deadline=None)
+@given(seed=st.integers(0, 2 ** 32), n=st.sampled_from([2, 4]),
+       data=st.data())
+def test_matrix_on_integer_lines_is_the_bilinear_residual(seed, n, data):
+    pair = HamPair.random(Lcg(seed), n)
+    uu, ww = (data.draw(st.lists(st.integers(-9, 9), min_size=n,
+                                 max_size=n)) for _ in range(2))
+    point = uu + [0] * n
+    got, want = _bilinear_sides(
+        pair, uu, ww, lambda c: c.eval(point) if isinstance(c, Poly) else c)
+    assert got == want
 
 
 def test_homogeneous_two_fields_pinned():
@@ -299,7 +350,8 @@ def test_coordinates_reuse_the_cached_adjugate(monkeypatch):
                                 lambda s, real=real: calls.append(s) or real(s))
     pair = HamPair.random(Lcg(77), 4)
     p = plucker_homogeneous(pair)
-    congruence_checks(form_from_pair(pair), p, "sampled", 3, 1)
+    congruence_checks(congruence_matrix(form_from_pair(pair)), p,
+                      "sampled", 3, 1)
     plucker_homogeneous(pair)
     assert len(calls) == 1
 
@@ -309,9 +361,9 @@ def test_coordinates_reuse_the_cached_adjugate(monkeypatch):
     generic_pair_n2, lambda: HamPair.random(Lcg(56), 6)])
 def test_sampled_checks_catch_coordinates_off_the_congruence(build):
     pair = build()
-    n, sf = pair.N, form_from_pair(pair)
+    n, m = pair.N, congruence_matrix(form_from_pair(pair))
     p = plucker_homogeneous(pair)
-    clean = congruence_checks(sf, p, "sampled", 5, 9)
+    clean = congruence_checks(m, p, "sampled", 5, 9)
     assert clean["mode"] == "sampled"
     assert not clean["annihilation"] and not clean["quadrics"]
     # one coordinate moved off the line, keeping its degree
@@ -319,16 +371,16 @@ def test_sampled_checks_catch_coordinates_off_the_congruence(build):
     off = dict(p)
     off[(1, 2)] = p[(1, 2)] + (Poly.var(nv, 2) * Poly.var(nv, n + 1)
                                * Fraction(3, 2))
-    rep = congruence_checks(sf, off, "sampled", 5, 9)
+    rep = congruence_checks(m, off, "sampled", 5, 9)
     assert rep["annihilation"] and rep["quadrics"]
-    assert rep == congruence_checks(sf, off, "sampled", 5, 9)
+    assert rep == congruence_checks(m, off, "sampled", 5, 9)
     last = off[(n + 1, n + 2)]
     assert rep["modulus"] == P61 and rep["points"] == 5
     assert rep["bound"] == Fraction(rep["degree"],
                                     P61 - last.total_degree()) ** 5
     if n == 6:
         return
-    sym_rep = congruence_checks(sf, off, "symbolic", 5, 9)
+    sym_rep = congruence_checks(m, off, "symbolic", 5, 9)
     assert not {"modulus", "degree", "points", "bound"} & set(sym_rep)
     for name in ("annihilation", "quadrics"):
         assert set(rep[name]) <= set(sym_rep[name])

@@ -10,7 +10,7 @@ from math import factorial
 
 import pytest
 
-from hamforms import AltForm, DimensionMismatch, Lcg, Matrix, contract_bivector
+from hamforms import AltForm, DimensionMismatch, Lcg, Matrix
 from hamforms import pullback_linear, wedge
 from hamforms.forms import perm_sign
 from hamforms.serialize import form_from_dict, form_to_dict
@@ -179,26 +179,6 @@ def test_pullback_respects_wedge():
     m = Matrix([[rng.fraction() for _ in range(4)] for _ in range(4)])
     assert pullback_linear(wedge(a, b), m) == \
         wedge(pullback_linear(a, m), pullback_linear(b, m))
-
-
-def test_contract_bivector_basics():
-    f = AltForm(3, 3, {(1, 2, 3): Fraction(1)})
-    assert contract_bivector(f, {(2, 3): Fraction(1)}) == \
-        (Fraction(1), Fraction(0), Fraction(0))
-    assert contract_bivector(f, {(1, 3): Fraction(1)}) == \
-        (Fraction(0), Fraction(-1), Fraction(0))
-
-
-def test_contract_bivector_linear():
-    rng = Lcg(38)
-    f = random_form(rng, 3, 4)
-    p = {(i, j): rng.fraction() for i in range(1, 5) for j in range(i + 1, 5)}
-    q = {(i, j): rng.fraction() for i in range(1, 5) for j in range(i + 1, 5)}
-    both = {k: p[k] + q[k] for k in p}
-    left = contract_bivector(f, both)
-    right = tuple(x + y for x, y in
-                  zip(contract_bivector(f, p), contract_bivector(f, q)))
-    assert left == right
 
 
 def test_mismatched_dims_rejected():

@@ -377,7 +377,8 @@ def test_sampled_checks_memoise_each_point_apart(monkeypatch):
     # a memo entry is its monomial's residue at the memo's own point; one
     # memo shared by all points would give every point the first's residues
     import hamforms.sampling as sampling
-    from hamforms import congruence_checks, form_from_pair, plucker_homogeneous
+    from hamforms import (congruence_checks, congruence_matrix,
+                          form_from_pair, plucker_homogeneous)
     from hamforms.poly import unpack
 
     real = sampling._Vals.at.__func__
@@ -390,8 +391,8 @@ def test_sampled_checks_memoise_each_point_apart(monkeypatch):
     monkeypatch.setattr(sampling._Vals, "at", classmethod(spy))
     pair = generic_pair_n4()
     check_compat(pair, mode="sampled", samples=3)
-    congruence_checks(form_from_pair(pair), plucker_homogeneous(pair),
-                      "sampled", 3, 1)
+    congruence_checks(congruence_matrix(form_from_pair(pair)),
+                      plucker_homogeneous(pair), "sampled", 3, 1)
     monkeypatch.undo()
     nv = pair.nvars
     for points, memos in {id(m): (x, m) for x, m in seen}.values():

@@ -83,6 +83,12 @@ def test_omega_rejects(doc, exc):
         ser.omega_from_dict(doc)
 
 
+def test_field_count_cap():
+    assert ser.omega_from_dict({"N": 1000, "terms": []}).N == 1000
+    with pytest.raises(ValidationError, match="from 2 to 1000, got 1002"):
+        ser.omega_from_dict({"N": 1002, "terms": []})
+
+
 def test_form_rejects_zero_dimension():
     with pytest.raises(ValidationError, match="degree 1 on dim 0"):
         ser.form_from_dict({"degree": 1, "dim": 0, "terms": []})
