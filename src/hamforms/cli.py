@@ -15,8 +15,9 @@ verify, congruence and transform also take --symbolic or --sample <n>.
 With neither they follow the library's "auto" rule: symbolic for N <= 4,
 sampled at 20 points above.  Sampled checks evaluate at residues modulo
 the prime 2^61-1 and record the Schwartz-Zippel bound of the run in the
-"mode" object.  The other commands only run symbolic checks and reject
---sample.
+"mode" object.  transform samples only the --reciprocal check and
+rejects --sample with --projective or --xt; the other commands only run
+symbolic checks and reject --sample.
 
 Four caps exit with code 2: --symbolic above N = 6 (a dense N = 8
 proof takes half a minute), --sample above 1000 points (1,000 points
@@ -372,8 +373,10 @@ def _parse_reciprocal_file(path, n) -> ReciprocalMap:
 
 
 def cmd_transform(args) -> int:
+    if args.sample is not None and not args.reciprocal:
+        raise ValidationError("--sample: only --reciprocal samples; the "
+                              "projective and x-t checks are symbolic")
     pair = load_pair(args.pair)
-    # only the reciprocal image is checked by sampling
     mode = _mode_of(args, pair.N if args.reciprocal else None)
     inputs = {"pair": args.pair}
     checks = []

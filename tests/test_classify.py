@@ -1,8 +1,10 @@
 """Splitting two-forms, invariants, canonical models, and the stabilizer."""
 
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hamforms import (
     AltForm,
@@ -35,7 +37,9 @@ from hamforms import (
     symplectic_split,
     wedge,
 )
-from hamforms.classify import eta_gram
+from hamforms.classify import (_embed5, _first_order_preserves, _matrix5,
+                               eta_gram, sp4_basis, t4_form)
+from hamforms.linalg import rank_and_left_nullvector
 from hamforms.sampling import random_skew
 
 from helpers import pairs_equal, random_invertible, random_symplectic
@@ -212,6 +216,90 @@ def test_stabilizer_audit():
     assert rep["exact"] == {"transvection": True, "shear": True,
                             "torus": True}
     assert not rep["negative_control_preserved"]
+
+
+def _eps_derivative(x5) -> dict:
+    """Independent first-order oracle: pull t4 back through I + eps*X
+    over RatFunc in eps; the value at 0 must be t4's own, and the result
+    maps each component to its nonzero eps-derivative at 0."""
+    eps = RatFunc.var(1, 1)
+    rows = [[RatFunc.from_const(1, int(i == k)) + eps * x5[i, k]
+             for k in range(5)] for i in range(5)]
+    t4 = t4_form().map_coeffs(lambda c: RatFunc.from_const(1, c))
+    delta = pullback_linear(t4, Matrix(rows)) - t4
+    origin = (Fraction(0),)
+    assert all(c.eval(origin) == 0 for _, c in delta.sorted_items())
+    return {idx: d for idx, c in delta.sorted_items()
+            if (d := c.diff(1).eval(origin))}
+
+
+def _unit(i, k) -> Matrix:
+    return _matrix5({(i, k): Fraction(1)})
+
+
+def _listed_directions() -> list:
+    """The fourteen directions `stabilizer_audit` lists, in its order."""
+    return ([_embed5(x) for x in sp4_basis()]
+            + [_unit(i, 4) for i in range(4)])
+
+
+SCALING = _matrix5({(4, 4): Fraction(-2)}, 1)
+
+
+def test_first_order_test_matches_the_eps_pullback():
+    control = _unit(0, 2)
+    for x5 in _listed_directions() + [control, SCALING]:
+        assert _first_order_preserves(x5) == (not _eps_derivative(x5))
+    assert not _first_order_preserves(control)
+    assert _first_order_preserves(SCALING)
+
+
+@settings(max_examples=40, deadline=None)
+@given(entries=st.lists(st.integers(-3, 3), min_size=25, max_size=25),
+       weights=st.lists(st.integers(-2, 2), min_size=15, max_size=15),
+       in_kernel=st.booleans())
+def test_first_order_test_matches_the_eps_pullback_at_random(
+        entries, weights, in_kernel):
+    if in_kernel:
+        # an integer combination of the fifteen kernel directions, with
+        # at most one entry moved off it
+        rows = [[Fraction(0)] * 5 for _ in range(5)]
+        for w, x5 in zip(weights, _listed_directions() + [SCALING]):
+            for i in range(5):
+                for k in range(5):
+                    rows[i][k] += w * x5[i, k]
+        rows[entries[0] % 5][entries[1] % 5] += entries[2] % 2
+        x5 = Matrix(rows)
+    else:
+        x5 = Matrix([entries[5 * i:5 * i + 5] for i in range(5)])
+    assert _first_order_preserves(x5) == (not _eps_derivative(x5))
+
+
+def _flat(x5) -> list:
+    return [x5[i, k] for i in range(5) for k in range(5)]
+
+
+def test_stabilizer_has_one_direction_more_than_the_audit_lists():
+    # X -> D_X t4 on the 25 elementary matrices has rank 10, so the
+    # first-order stabilizer in gl(5) is 15-dimensional
+    triples = list(combinations(range(1, 6), 3))
+    images = []
+    for i in range(5):
+        for k in range(5):
+            d = _eps_derivative(_unit(i, k))
+            images.append([d.get(t, Fraction(0)) for t in triples])
+    rank, _ = rank_and_left_nullvector(Matrix(images))
+    assert 25 - rank == 15
+    # the fourteen listed directions are independent, and the scaling
+    # diag(1, 1, 1, 1, -2) completes them to a basis of the kernel
+    listed = _listed_directions()
+    assert all(not _eps_derivative(x5) for x5 in listed + [SCALING])
+    assert rank_and_left_nullvector(Matrix(map(_flat, listed)))[0] == 14
+    assert rank_and_left_nullvector(
+        Matrix(map(_flat, listed + [SCALING])))[0] == 15
+    # and the scaling integrates to an exact symmetry
+    torus = _matrix5({(4, 4): Fraction(1, 4)}, 2)
+    assert pullback_linear(t4_form(), torus) == t4_form()
 
 
 # -- Hitchin's quartic: an orbit invariant that needs no reduction --------

@@ -221,6 +221,22 @@ def test_transform_projective(capsys, tmp_path, pair_file):
     assert rep["ok"] is True and "denominator" in rep
 
 
+def test_transform_samples_only_the_reciprocal_check(capsys, tmp_path,
+                                                      pair_file):
+    mpath = tmp_path / "proj.json"
+    mpath.write_text(json.dumps(
+        {"matrix": [["1", "2", "0"], ["0", "1", "0"], ["1", "0", "1"]]}))
+    for kind in (["--projective", str(mpath)], ["--xt"]):
+        argv = ["transform", "--pair", pair_file, *kind, "--format", "json"]
+        code, out, err = run(capsys, *argv, "--sample", "5")
+        assert code == 2 and out == "", kind
+        assert err.startswith("error: --sample") and "--reciprocal" in err
+        # their checks are symbolic, so --symbolic is accepted
+        code, out, err = run(capsys, *argv, "--symbolic")
+        assert code == 0 and not err, kind
+        assert json.loads(out)["mode"]["kind"] == "symbolic"
+
+
 def test_transform_reciprocal(capsys, tmp_path, pair_file):
     rpath = tmp_path / "recip.json"
     rpath.write_text(json.dumps(
@@ -406,10 +422,6 @@ def test_symbolic_stays_the_default_up_to_four_fields(capsys, pair_file):
     assert outs[0] == outs[1]
     assert json.loads(outs[0])["mode"] == {"kind": "symbolic",
                                            "samples": None, "seed": 1}
-    # the exchange check never samples, whatever was asked
-    code, out, _ = run(capsys, "transform", "--pair", pair_file, "--xt",
-                       "--sample", "5", "--format", "json")
-    assert json.loads(out)["mode"]["kind"] == "symbolic"
 
 
 def test_symbolic_at_six_fields_runs_without_notice(capsys, tmp_path):

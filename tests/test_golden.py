@@ -31,6 +31,9 @@ CASES = {
     # sampled: the default above four fields
     "n6.verify": ["verify", "--pair", "n6_pair.json"],
     "n6.congruence": ["congruence", "--pair", "n6_pair.json"],
+    # sampled by default; the slowest command of the benchmark pools
+    "n6.reciprocal": ["transform", "--pair", "n6_pair.json",
+                      "--reciprocal", "n6_reciprocal.json"],
     # Poly and RatFunc text in grlex order
     "n2.classify": ["classify", "--omega", "out/n2.compose.json"],
     "n4.classify": ["classify", "--omega", "n4_std.json"],
