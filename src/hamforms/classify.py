@@ -298,8 +298,8 @@ def sp4_basis() -> list:
 def _first_order_preserves(x5: Matrix) -> bool:
     """Whether I + h*X preserves the standard three-form at order one.
 
-    The derivative at h = 0 of its pullback through I + h*X (rows
-    indexed as in `pullback_linear`) is the derivation
+    The derivative at h = 0 of its pullback through I + h*X (row m is
+    the pullback of du_m, as in `pullback_linear`) is the derivation
     (D_X t)_ijk = sum_m X[m,i] t_mjk + X[m,j] t_imk + X[m,k] t_ijm.
     Read from the nonzero components: t_A adds X[a,n] t_A at A with one
     index a replaced by n.  All ten summed components must vanish.

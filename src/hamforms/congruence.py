@@ -15,6 +15,7 @@ from itertools import combinations
 
 from .bridge import StructureForm
 from .errors import DimensionMismatch, PoleError
+from .forms import one_form, wedge
 from .linalg import Matrix, rank_and_left_nullvector
 from .poly import Poly, RatFunc, lift
 from .sampling import run_check
@@ -26,14 +27,10 @@ def pair_columns(dim: int) -> list:
 
 
 def _line_minors(p, q) -> dict:
-    """Pluecker coordinates p^{ab} = p_a q_b - p_b q_a (a < b, 1-based)
-    of the line through the points p and q; zero minors are left out."""
-    out = {}
-    for a, b in combinations(range(len(p)), 2):
-        c = p[a] * q[b] - p[b] * q[a]
-        if c:
-            out[(a + 1, b + 1)] = c
-    return out
+    """Pluecker coordinates p^{ab} = p_a q_b - p_b q_a (a < b, 1-based) of
+    the line through the points p and q, the wedge of their one-forms;
+    keys in increasing order, zero minors left out."""
+    return dict(sorted(wedge(one_form(p), one_form(q)).comps.items()))
 
 
 def plucker_coords(pair, point=None) -> dict:
@@ -65,15 +62,18 @@ def plucker_homogeneous(pair) -> dict:
 
     Works with the homogenizing variable N+1; extra ring variables past
     it are treated as parameters, so a pair living in a larger ring must
-    keep slot N+1 free for the homogenizer.  The cached cleared flux,
-    numerators adj(g) w over Pf(g), is homogenized in slot N+1 to degree
-    N/2 (or its field degree, if higher), so the spanning points
-    (u, u^{N+1}, 0) and (hom n, 0, hom Pf) make every coordinate a
-    polynomial.
+    keep slot N+1 free for the homogenizer (DimensionMismatch otherwise).
+    The cached cleared flux, numerators adj(g) w over Pf(g), is
+    homogenized in slot N+1 to degree N/2 (or its field degree, if
+    higher), so the spanning points (u, u^{N+1}, 0) and (hom n, 0, hom Pf)
+    make every coordinate a polynomial.
     """
     N = pair.N
     nvars = pair.nvars if pair.nvars > N else N + 1
     nums, pf = pair.flux_cleared()
+    if any(e[N] for q in (*nums, pf) for e, _ in q.items() if len(e) > N):
+        raise DimensionMismatch("ring variable u%d is the homogenizer, but "
+                                "the pair's flux uses it" % (N + 1))
     degree = max([N // 2] + [sum(e[:N]) for q in (*nums, pf) for e, _ in q.items()])
 
     def hom(q):

@@ -9,13 +9,13 @@ form.  `skew.SkewMatrix` is the degree-2 `AltForm` read as an
 antisymmetric matrix; sums, negatives, multiples and `map_coeffs` of a
 SkewMatrix are again SkewMatrix.  A three-form contracted with a
 bivector is `congruence.congruence_matrix` applied to the bivector's
-coordinates.
+coordinates.  `wedge` is the one exterior product: linear pullbacks and
+the Pluecker coordinates of a line are sums of wedges of one-forms
+(`one_form`).
 """
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cache
-from itertools import combinations
 
 from .errors import DimensionMismatch
 from .linalg import Matrix
@@ -189,41 +189,35 @@ def wedge(a: AltForm, b: AltForm) -> AltForm:
     return out
 
 
+def one_form(coeffs) -> AltForm:
+    """The one-form sum_i coeffs[i-1] du_i, zero terms left out."""
+    return AltForm(1, len(coeffs), {(i,): c for i, c in enumerate(coeffs, 1)})
+
+
 def pullback_linear(phi: AltForm, m: Matrix) -> AltForm:
     """Pullback of phi along the linear map with matrix m.
 
-    m has phi.dim rows (output space) and any number of columns (input
-    space); component I of the result is sum_A phi_A * det(m[A, I]).
-    Each minor is expanded along its first row; the smaller minors are
-    shared, one per (row tuple, column tuple).
+    m has phi.dim rows (output space) and at least one column (input
+    space).  Pullback respects `wedge`: du_a pulls back to the one-form
+    of row a, and component phi_A adds phi_A times the wedge of the rows
+    indexed by A, a sum of minors of m.  A degree above the column count
+    gives the zero form.
     """
     if m.nrows != phi.dim:
         raise DimensionMismatch("matrix output dimension must match the form")
-    dim_in = m.ncols
-    k = phi.degree
-
-    @cache
-    def minor(src, tgt):
-        if not src:
-            return Fraction(1)
-        total = Fraction(0)
-        for j, i in enumerate(tgt):
-            x = m.rows[src[0] - 1][i - 1]
-            if x and (d := minor(src[1:], tgt[:j] + tgt[j + 1:])):
-                total = total + x * d if j % 2 == 0 else total - x * d
-        return total
-
-    comps: dict = {}
-    for tgt in combinations(range(1, dim_in + 1), k):
-        total = None
-        for src, c in phi.comps.items():
-            d = minor(src, tgt)
-            if not d:
-                continue
-            t = c * d
-            total = t if total is None else total + t
-        if total is not None and total:
-            comps[tgt] = total
-    out = AltForm.__new__(AltForm)
-    out.degree, out.dim, out.comps = k, dim_in, comps
+    if not m.ncols:
+        raise DimensionMismatch("matrix has no columns")
+    rows = [one_form(r) for r in m.rows]
+    # phi is the sum over heads H of du_H ^ (sum_a phi_{H,a} du_a), so
+    # the components sharing all but their last index share one wedge
+    tails: dict = {}
+    for src, c in phi.comps.items():
+        t = rows[src[-1] - 1].scale(c)
+        head = src[:-1]
+        tails[head] = tails[head] + t if head in tails else t
+    out = AltForm(phi.degree, m.ncols)
+    for head, term in tails.items():
+        for a in reversed(head):
+            term = wedge(rows[a - 1], term)
+        out = out + term
     return out

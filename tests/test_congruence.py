@@ -12,6 +12,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hamforms import (
+    AltForm,
+    DimensionMismatch,
     HamPair,
     Lcg,
     PoleError,
@@ -32,6 +34,7 @@ from hamforms import (
     plucker_homogeneous,
     rhs_covector,
 )
+from hamforms.congruence import _line_minors
 from hamforms.poly import exact_div
 
 from helpers import (
@@ -53,6 +56,30 @@ from helpers import (
 def test_pair_columns():
     assert pair_columns(4) == [(1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)]
     assert len(pair_columns(6)) == 15
+
+
+def test_line_minors_are_the_two_by_two_minors():
+    # the wedge of the two points' one-forms against p_a q_b - p_b q_a;
+    # zero entries make some minors vanish, and those are left out
+    rng = Lcg(81)
+
+    def entry(kind):
+        if not rng.randint(0, 3):
+            return Fraction(0) if kind == "fraction" else Poly.zero(3)
+        if kind == "fraction":
+            return rng.fraction()
+        return Poly(3, {(rng.randint(0, 2), rng.randint(0, 1), rng.randint(0, 1)):
+                        rng.fraction() for _ in range(3)})
+
+    for kind in ("fraction", "poly"):
+        for dim in (2, 4, 6):
+            p = [entry(kind) for _ in range(dim)]
+            q = [entry(kind) for _ in range(dim)]
+            got = _line_minors(p, q)
+            want = {(a, b): p[a - 1] * q[b - 1] - p[b - 1] * q[a - 1]
+                    for (a, b) in pair_columns(dim)}
+            assert got == {k: v for k, v in want.items() if v}
+            assert list(got) == sorted(got)
 
 
 def test_matrix_two_fields_pinned():
@@ -336,6 +363,24 @@ def test_homogeneous_from_the_cleared_flux_matches_the_oracle():
              for seed in (1, 2, 3)]
     for pair in pairs + [generic_pair_n2(), generic_pair_n4()]:
         assert plucker_homogeneous(pair) == _homogeneous_oracle(pair), pair
+
+
+def test_homogeneous_needs_a_free_homogenizer_slot():
+    # a compatible pair whose metric is the parameter u3 of a
+    # three-variable ring: slot N+1 = 3 cannot also homogenize
+    def pair_with_metric_var(nvars, i):
+        return HamPair(AltForm(3, 2), SkewMatrix(2, {(1, 2): Poly.var(nvars, i)}),
+                       SkewMatrix(2, {(1, 2): 1}), (1, 2), nvars=nvars)
+
+    with pytest.raises(DimensionMismatch, match="u3"):
+        plucker_homogeneous(pair_with_metric_var(3, 3))
+    # the same parameter one slot further on leaves u3 free
+    pair = pair_with_metric_var(4, 4)
+    sf = form_from_pair(pair)
+    p = plucker_homogeneous(pair)
+    assert annihilation_check(sf, p)["ok"]
+    rep = congruence_checks(congruence_matrix(sf), p, "symbolic", 0, 0)
+    assert not rep["annihilation"] and not rep["quadrics"]
 
 
 def test_coordinates_reuse_the_cached_adjugate(monkeypatch):

@@ -10,9 +10,10 @@ from math import factorial
 
 import pytest
 
-from hamforms import AltForm, DimensionMismatch, Lcg, Matrix
+from hamforms import AltForm, DimensionMismatch, Lcg, Matrix, Poly, RatFunc
 from hamforms import pullback_linear, wedge
 from hamforms.forms import perm_sign
+from hamforms.poly import lift
 from hamforms.serialize import form_from_dict, form_to_dict
 
 
@@ -154,22 +155,54 @@ def test_pullback_swap_and_scale():
     assert h == f.scale(c ** 3)
 
 
+def _affine(rng, nv):
+    return Poly(nv, {tuple(int(i == k) for i in range(nv)): rng.fraction()
+                     for k in range(nv + 1) if rng.randint(0, 1)})
+
+
+# matrix entries of each kind, with the number of ring variables the
+# minors are taken in (0 for the rationals): rationals; affine
+# polynomials, the shape `conformal_check` pulls back through; and the
+# rational functions c^k of the stabilizer torus
+ENTRY_KINDS = {
+    "fraction": (lambda rng: rng.fraction(), 0),
+    "affine": (lambda rng: _affine(rng, 2), 2),
+    "ratfunc": (lambda rng: rng.fraction() * RatFunc.var(1, 1)
+                ** rng.randint(-1, 1), 1),
+}
+
+
 def test_pullback_matches_the_minor_formula():
-    # component I is sum_A phi_A det(m[A, I]), each det by elimination
+    # component I is sum_A phi_A det(m[A, I]), each det by elimination;
+    # a column count below the degree gives the zero form
     rng = Lcg(38)
-    for degree in (1, 2, 3):
-        for ncols in range(degree, 7):
-            f = random_form(rng, degree, 5, nterms=6)
-            m = Matrix([[rng.fraction() if rng.randint(0, 2) else Fraction(0)
-                         for _ in range(ncols)] for _ in range(5)])
-            want = {}
-            for tgt in combinations(range(1, ncols + 1), degree):
-                total = sum((c * Matrix([[m[a - 1, i - 1] for i in tgt]
-                                         for a in src]).det()
-                             for src, c in f.comps.items()), Fraction(0))
-                if total:
-                    want[tgt] = total
-            assert pullback_linear(f, m).comps == want
+    for kind, (draw, nv) in ENTRY_KINDS.items():
+        ring = (lambda x: lift(x, nv)) if nv else (lambda x: x)
+        for degree in (1, 2, 3):
+            for ncols in range(1, 7 if kind == "fraction" else 5):
+                f = random_form(rng, degree, 5, nterms=6)
+                if kind == "affine":
+                    f = f.map_coeffs(lambda c: c * _affine(rng, 2))
+                m = Matrix([[draw(rng) if rng.randint(0, 2) else Fraction(0)
+                             for _ in range(ncols)] for _ in range(5)])
+                lifted = Matrix([[ring(x) for x in row] for row in m.rows])
+                want = {}
+                for tgt in combinations(range(1, ncols + 1), degree):
+                    total = sum((ring(c) * Matrix([[lifted[a - 1, i - 1]
+                                                    for i in tgt]
+                                                   for a in src]).det()
+                                 for src, c in f.comps.items()), ring(0))
+                    if total:
+                        want[tgt] = total
+                got = pullback_linear(f, m)
+                assert (got.degree, got.dim) == (degree, ncols)
+                assert {k: ring(v) for k, v in got.comps.items()} == want
+
+
+def test_pullback_needs_a_column():
+    f = AltForm(1, 2, {(1,): Fraction(1)})
+    with pytest.raises(DimensionMismatch):
+        pullback_linear(f, Matrix([[], []]))
 
 
 def test_pullback_respects_wedge():
