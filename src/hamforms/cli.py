@@ -21,7 +21,7 @@ symbolic checks and reject --sample.
 
 Four caps exit with code 2: --symbolic above N = 6 (a dense N = 8
 proof takes half a minute), --sample above 1000 points (1,000 points
-take 2 to 3 s at dense N = 6), audit field counts above 64 (audit
+take 0.4 to 0.9 s at dense N = 6), audit field counts above 64 (audit
 time grows as N^3) and pair or form files above N = 1000 (the
 Pfaffian recurses N/2 deep).
 
@@ -69,7 +69,7 @@ _SYMBOLIC_MAX_N = 6
 # layout(N) lists all C(N+2, 3) triples, so audit time grows as N^3
 _AUDIT_MAX_N = 64
 # the sampler builds every point before it checks any; 1,000 points on a
-# dense N = 6 pair take 2 to 3 s per command
+# dense N = 6 pair take 0.4 to 0.9 s per command
 _SAMPLE_MAX = 1000
 
 

@@ -491,7 +491,7 @@ class RatFunc:
 
     __slots__ = ("num", "den")
 
-    def __init__(self, num: Poly, den: Poly | None = None, reduce: bool = True):
+    def __init__(self, num: Poly, den: Poly | None = None):
         if den is None:
             den = Poly.one(num.num_vars)
         if num.num_vars != den.num_vars:
@@ -500,7 +500,7 @@ class RatFunc:
             raise ZeroDivisionError("zero denominator")
         if num.is_zero():
             den = Poly.one(num.num_vars)
-        elif reduce and not den.is_constant():
+        elif not den.is_constant():
             g = poly_gcd(num, den)
             if not g.is_constant():
                 num = exact_div(num, g)
@@ -554,7 +554,7 @@ class RatFunc:
                 raise ValueError("rational functions from different rings")
             return other
         if isinstance(other, Poly):
-            return RatFunc(other, reduce=False)
+            return RatFunc(other)
         if isinstance(other, (int, Fraction)):
             return RatFunc.from_const(self.num_vars, other)
         return None
@@ -625,8 +625,8 @@ class RatFunc:
         if k < 0:
             if self.is_zero():
                 raise ZeroDivisionError("inverse of zero")
-            return RatFunc(self.den ** (-k), self.num ** (-k), reduce=False)
-        return RatFunc(self.num ** k, self.den ** k, reduce=False)
+            return RatFunc(self.den ** (-k), self.num ** (-k))
+        return RatFunc(self.num ** k, self.den ** k)
 
     def __eq__(self, other):
         o = self._coerce(other) if not isinstance(other, RatFunc) else other
@@ -644,7 +644,7 @@ class RatFunc:
 
     def diff(self, var: int) -> "RatFunc":
         if self.den.is_constant():
-            return RatFunc(self.num.diff(var), self.den, reduce=False)
+            return RatFunc(self.num.diff(var), self.den)
         n = self.num.diff(var) * self.den - self.num * self.den.diff(var)
         return RatFunc(n, self.den * self.den)
 
@@ -663,9 +663,9 @@ class RatFunc:
         if isinstance(d, (int, Fraction)):
             d = RatFunc.from_const(values[0].num_vars, d) if values else d
         if isinstance(n, Poly):
-            n = RatFunc(n, reduce=False)
+            n = RatFunc(n)
         if isinstance(d, Poly):
-            d = RatFunc(d, reduce=False)
+            d = RatFunc(d)
         return n / d
 
     # -- presentation ----------------------------------------------------
@@ -691,5 +691,5 @@ def lift(x, num_vars: int) -> RatFunc:
     if isinstance(x, Poly):
         if x.num_vars != num_vars:
             raise ValueError("polynomial from a different ring")
-        return RatFunc(x, reduce=False)
+        return RatFunc(x)
     return RatFunc.from_const(num_vars, as_fraction(x))

@@ -5,7 +5,8 @@ keeps every sampled check reproducible from a single integer seed, with
 no dependence on interpreter hashing or library versions.  `run_check`,
 at the end of this module, is the one proof-or-sample policy: both
 checks, `check_compat` and `congruence_checks`, are proved through it
-or sampled at residues modulo the prime 2^61 - 1.
+or sampled at residues modulo the prime 2^61 - 1, where `_Vals.at`
+reduces each polynomial at all the points at once.
 """
 
 from __future__ import annotations
@@ -87,8 +88,8 @@ def _residue(c) -> int:
     if isinstance(c, int):
         return c % MODULUS
     if c.denominator % MODULUS == 0:
-        raise NoResidue("coefficient %s has no residue mod 2^61-1: its "
-                         "denominator is a multiple of the modulus" % c)
+        raise NoResidue("the rational %s has no residue mod 2^61-1: its "
+                        "denominator is a multiple of the modulus" % c)
     return c.numerator * pow(c.denominator, -1, MODULUS) % MODULUS
 
 
@@ -101,32 +102,9 @@ def _random_residue(rng: Lcg) -> int:
             return x
 
 
-def _reduced_terms(p) -> list:
-    """(coefficient residue, packed monomial) per term."""
-    if p.den % MODULUS == 0:
-        raise NoResidue("coefficients with denominator %d have no residue "
-                        "mod 2^61-1: it is a multiple of the modulus" % p.den)
-    inv = pow(p.den, -1, MODULUS)
-    return [(c * inv % MODULUS, key) for key, c in p.terms.items()]
-
-
-def _eval_mod(terms, x, memo) -> int:
-    """The residue at the point x of a polynomial in len(x) variables.
-
-    `memo` maps a packed monomial to its residue at x and is filled on
-    first use, so a monomial shared by many polynomials of one check is
-    reduced once per point; a memo serves one point and one ring."""
-    total = 0
-    for c, key in terms:
-        r = memo.get(key)
-        if r is None:
-            r = 1
-            for v, k in zip(x, unpack(key, len(x))):
-                if k:
-                    r = r * pow(v, k, MODULUS) % MODULUS
-            memo[key] = r
-        total += c * r
-    return total % MODULUS
+# Bytes per point in a packed table entry.  A lane holds a sum of up to
+# 2^70 products of two residues below 2^61 without carrying into the next.
+_LANE = 24
 
 
 class _Vals:
@@ -145,10 +123,26 @@ class _Vals:
         self.v = v
 
     @classmethod
-    def at(cls, p, points, memos) -> "_Vals":
-        """p at each point, with the monomial memo of that point."""
-        terms = _reduced_terms(p)
-        return cls([_eval_mod(terms, x, m) for x, m in zip(points, memos)])
+    def at(cls, p, points, table) -> "_Vals":
+        """p at all the points at once, one multiply-add per term: `table`
+        maps a packed monomial to its residues there, one little-endian
+        _LANE-byte lane per point in one int, and is filled on first use."""
+        scale = _residue(Fraction(1, p.den))
+        acc = 0
+        for key, c in p.terms.items():
+            lanes = table.get(key)
+            if lanes is None:
+                rs = [1] * len(points)
+                for v, k in enumerate(unpack(key, p.num_vars)):
+                    if k:
+                        rs = [r * pow(x[v], k, MODULUS) % MODULUS
+                              for r, x in zip(rs, points)]
+                lanes = table[key] = int.from_bytes(b"".join(
+                    r.to_bytes(_LANE, "little") for r in rs), "little")
+            acc += c * scale % MODULUS * lanes
+        b = acc.to_bytes(_LANE * len(points), "little")
+        return cls([int.from_bytes(b[i:i + _LANE], "little") % MODULUS
+                    for i in range(0, len(b), _LANE)])
 
     def __add__(self, other):
         return _Vals([(a + b) % MODULUS for a, b in zip(self.v, other.v)])
@@ -178,9 +172,10 @@ def run_check(mode: str, build, bound, samples: int, seed: int) -> tuple:
     it passed through `conv`.  A symbolic check calls it with the identity:
     a proof.  A sampled one takes (avoid, degree) = bound() and draws
     `samples` uniform residue points mod MODULUS in the ring of `avoid`,
-    where it does not vanish; `conv` takes a Poly to its residues there,
-    with one monomial memo per point, and passes scalars through, and a
-    residual is reported as its first failing point and residue there.
+    where it does not vanish (NoResidue if it is zero mod MODULUS); `conv`
+    takes a Poly to its residues there, with one monomial table for the
+    check, and passes scalars through, and a residual is reported as its
+    first failing point and residue there.
     By Schwartz-Zippel a residual of degree <= `degree` that is nonzero
     mod MODULUS vanishes at every point with probability at most "bound"
     = (degree / (MODULUS - deg avoid))^samples, an exact Fraction; it is
@@ -191,17 +186,19 @@ def run_check(mode: str, build, bound, samples: int, seed: int) -> tuple:
     avoid, degree = bound()
     if samples < 1:
         raise ValueError("sampled mode needs at least one point")
-    terms = _reduced_terms(avoid)
+    if not any(c % MODULUS for c in avoid.terms.values()):
+        raise NoResidue("the sample points must avoid a polynomial whose "
+                        "coefficients are all multiples of 2^61-1")
     rng = Lcg(seed)
-    points = []
+    points, table = [], {}
     while len(points) < samples:
-        x = tuple(_random_residue(rng) for _ in range(avoid.num_vars))
-        if _eval_mod(terms, x, {}):
-            points.append(x)
-    memos = [{} for _ in points]
+        draws = [tuple(_random_residue(rng) for _ in range(avoid.num_vars))
+                 for _ in range(samples - len(points))]
+        points += [x for x, r in zip(draws, _Vals.at(avoid, draws, {}).v)
+                   if r]
 
     def conv(c):
-        return _Vals.at(c, points, memos) if isinstance(c, Poly) else c
+        return _Vals.at(c, points, table) if isinstance(c, Poly) else c
 
     def first_failure(acc):
         i = next(i for i, v in enumerate(acc.v) if v)

@@ -59,12 +59,12 @@ class ProjectiveMap:
 
     def denominator(self, nvars: int) -> RatFunc:
         """A(u), the last row applied to (u, 1), in a ring of size nvars."""
-        return RatFunc(self.row(self.N, nvars), reduce=False)
+        return RatFunc(self.row(self.N, nvars))
 
     def components(self, nvars: int) -> list:
         """The N image components as rational functions of the fields."""
         den = self.denominator(nvars)
-        return [RatFunc(self.row(i, nvars), reduce=False) / den
+        return [RatFunc(self.row(i, nvars)) / den
                 for i in range(self.N)]
 
     def __repr__(self):

@@ -1,6 +1,8 @@
 """Command line driver, exercised in process through main()."""
 
 import json
+import os
+import subprocess
 import sys
 from fractions import Fraction
 
@@ -508,3 +510,22 @@ def test_coefficient_without_residue_is_input_error(capsys, tmp_path):
                            "--sample", "3")
         assert code == 2
         assert err.startswith("error:") and "2^61-1" in err
+
+
+def test_metric_zero_mod_the_modulus_is_input_error(tmp_path):
+    # the Pfaffian is 2^61-1: no residue point avoids it.  A child process
+    # with a timeout, so that a sampler drawing points forever fails
+    g0 = {"degree": 2, "dim": 2,
+          "terms": [{"idx": [1, 2], "coeff": str(2 ** 61 - 1)}]}
+    path = tmp_path / "pfaffian_zero_mod_p.json"
+    path.write_text(json.dumps(dict(N2_PAIR, g0=g0)))
+    src = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    for command in ("verify", "congruence"):
+        proc = subprocess.run(
+            [sys.executable, "-m", "hamforms", command, "--pair", str(path),
+             "--sample", "3"],
+            env=env, capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 2 and not proc.stdout
+        assert proc.stderr.startswith("error:") and "2^61-1" in proc.stderr

@@ -29,7 +29,7 @@ from hamforms import (
     rhs_covector,
 )
 from hamforms.poly import divides
-from hamforms.sampling import run_check
+from hamforms.sampling import _random_residue, run_check
 
 from helpers import (P61, generic_pair_n2, generic_pair_n4, mod_eval,
                      pairs_equal)
@@ -373,9 +373,33 @@ def test_sampled_check_refuses_coefficients_without_residue():
         check_compat(pair, mode="sampled", samples=0)
 
 
-def test_sampled_checks_memoise_each_point_apart(monkeypatch):
-    # a memo entry is its monomial's residue at the memo's own point; one
-    # memo shared by all points would give every point the first's residues
+def test_sampled_checks_refuse_an_avoid_that_is_zero_mod_the_modulus():
+    # the metric's Pfaffian, and with it p^{3,4}, is 2^61-1 times a
+    # nonzero polynomial: every residue point is a root, and the sampler
+    # used to draw points forever
+    from hamforms import (congruence_checks, congruence_matrix,
+                          form_from_pair, plucker_homogeneous)
+    pair = HamPair(
+        AltForm(3, 2),
+        SkewMatrix(2, {(1, 2): Fraction(P61)}),
+        SkewMatrix(2, {(1, 2): Fraction(1)}),
+        (Fraction(1), Fraction(0)),
+    )
+    assert check_compat(pair, mode="symbolic")["all_zero"]
+    with pytest.raises(NoResidue, match="2\\^61-1"):
+        check_compat(pair, mode="sampled", samples=3)
+    with pytest.raises(NoResidue, match="2\\^61-1"):
+        congruence_checks(congruence_matrix(form_from_pair(pair)),
+                          plucker_homogeneous(pair), "sampled", 3, 1)
+    for avoid in (Poly.zero(2), Poly.const(2, P61),
+                  Poly(2, {(1, 0): P61, (0, 2): Fraction(-2 * P61, 3)})):
+        with pytest.raises(NoResidue):
+            run_check("sampled", lambda conv: ({},), lambda: (avoid, 1), 3, 0)
+
+
+def test_sampled_check_tables_hold_each_point_in_its_lane(monkeypatch):
+    # lane i of a table entry is its monomial's residue at point i; lanes
+    # out of order, or one point's residues for all, would break it
     import hamforms.sampling as sampling
     from hamforms import (congruence_checks, congruence_matrix,
                           form_from_pair, plucker_homogeneous)
@@ -384,9 +408,9 @@ def test_sampled_checks_memoise_each_point_apart(monkeypatch):
     real = sampling._Vals.at.__func__
     seen = []
 
-    def spy(cls, p, points, memos):
-        seen.append((points, memos))
-        return real(cls, p, points, memos)
+    def spy(cls, p, points, table):
+        seen.append((points, table))
+        return real(cls, p, points, table)
 
     monkeypatch.setattr(sampling._Vals, "at", classmethod(spy))
     pair = generic_pair_n4()
@@ -394,13 +418,60 @@ def test_sampled_checks_memoise_each_point_apart(monkeypatch):
     congruence_checks(congruence_matrix(form_from_pair(pair)),
                       plucker_homogeneous(pair), "sampled", 3, 1)
     monkeypatch.undo()
-    nv = pair.nvars
-    for points, memos in {id(m): (x, m) for x, m in seen}.values():
-        assert len(memos) == len(points) == 3
-        for x, memo in zip(points, memos):
-            assert memo
-            for key, r in list(memo.items())[:50]:
-                assert r == mod_eval(Poly(nv, {unpack(key, nv): 1}), x)
+    nv, width = pair.nvars, sampling._LANE
+    tables = {id(t): (x, t) for x, t in seen}.values()
+    assert sum(len(x) == 3 and len(t) > 50 for x, t in tables) >= 2
+    for points, table in tables:
+        for key, lanes in list(table.items())[:50]:
+            b = lanes.to_bytes(width * len(points), "little")
+            for i, x in enumerate(points):
+                assert (int.from_bytes(b[i * width:(i + 1) * width], "little")
+                        == mod_eval(Poly(nv, {unpack(key, nv): 1}), x))
+
+
+_coeffs = (st.fractions(max_denominator=12)
+           | st.integers(-2 ** 70, 2 ** 70)
+           | st.sampled_from([P61 - 1, P61 + 1, Fraction(1, P61 - 1)]))
+
+
+@st.composite
+def _polys_and_points(draw):
+    nv = draw(st.integers(1, 3))
+    exps = st.tuples(*[st.integers(0, 5)] * nv)
+    polys = [Poly.zero(nv), Poly.const(nv, draw(_coeffs))]
+    polys += [Poly(nv, terms) for terms in draw(st.lists(
+        st.dictionaries(exps, _coeffs, max_size=6), min_size=1, max_size=4))]
+    n = draw(st.integers(1, 1000))
+    rng = Lcg(draw(st.integers(0, 2 ** 32)))
+    specials = [0, 1, 2, P61 - 1]
+    points = [tuple(specials[rng.randint(0, 3)] if rng.randint(0, 4) == 0
+                    else _random_residue(rng) for _ in range(nv))
+              for _ in range(n)]
+    return polys, points
+
+
+@settings(max_examples=30, deadline=None)
+@given(_polys_and_points())
+def test_residues_at_all_points_match_pointwise_evaluation(case):
+    # one table shared by several polynomials, as within one check
+    from hamforms.sampling import _Vals
+    polys, points = case
+    table = {}
+    for p in polys:
+        assert _Vals.at(p, points, table).v == [mod_eval(p, x)
+                                                for x in points]
+
+
+def test_residue_lanes_hold_thousands_of_largest_products():
+    # 3,000 terms whose coefficient and monomial residues are all
+    # 2^61-2 = -1: each lane sums 3,000 products near 2^122, past 2^128
+    from hamforms.sampling import _Vals
+    terms = 3000
+    p = Poly(1, {(2 * k + 1,): -1 for k in range(terms)})
+    points = [(P61 - 1,)] * 4 + [(2,), (P61 - 1,)]
+    vals = _Vals.at(p, points, {}).v
+    assert vals == [mod_eval(p, x) for x in points]
+    assert vals[:4] == [terms] * 4
 
 
 @settings(max_examples=12, deadline=None)
