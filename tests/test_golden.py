@@ -38,6 +38,9 @@ CASES = {
     "n2.classify": ["classify", "--omega", "out/n2.compose.json"],
     "n4.classify": ["classify", "--omega", "n4_std.json"],
     "n4.verify": ["verify", "--pair", "n4_pair.json", "--symbolic"],
+    # sampled at 20 points; the first size where sub-Pfaffians are shared
+    "n8.verify": ["verify", "--pair", "n8_pair.json"],
+    "n8.congruence": ["congruence", "--pair", "n8_pair.json"],
 }
 for _n in (2, 4):
     _pair = "n%d_pair.json" % _n

@@ -1,7 +1,8 @@
 """Skew-symmetric matrices and pfaffians.
 
 Oracle: Pf(S)^2 = det(S), with det computed by the dense Matrix routine.
-The 4x4 adjugate is also pinned against its closed form.
+The 4x4 adjugate is also pinned against its closed form, and the generic
+Pfaffian has one +-1 term per perfect matching.
 """
 
 from fractions import Fraction
@@ -10,10 +11,12 @@ import pytest
 
 from hamforms import (
     AltForm,
+    HamPair,
     Lcg,
     Matrix,
     OddDimension,
     Poly,
+    RatFunc,
     SingularMatrix,
     SkewMatrix,
     pfaffian,
@@ -22,6 +25,7 @@ from hamforms import (
     pullback_linear,
     wedge,
 )
+from hamforms.poly import lift
 
 
 def random_skew(rng, n):
@@ -74,17 +78,45 @@ def test_adjugate_4x4_closed_form():
         assert adj.get(*key) == val
 
 
+def generic_skew(n):
+    """The n x n skew matrix with one ring variable per upper entry."""
+    keys = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+    return SkewMatrix(n, {k: Poly.var(len(keys), idx + 1)
+                          for idx, k in enumerate(keys)})
+
+
 def test_adjugate_identity_symbolic():
-    vs = {k: Poly.var(6, idx + 1) for idx, k in
-          enumerate([(1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)])}
-    s = SkewMatrix(4, vs)
-    adj = pfaffian_adjugate(s)
-    pf = pfaffian(s)
-    prod = s.to_matrix() @ adj.to_matrix()
-    zero = Poly.zero(6)
-    for i in range(4):
-        for j in range(4):
-            assert prod[i, j] == (pf if i == j else zero)
+    for n in (4, 6):
+        s = generic_skew(n)
+        adj = pfaffian_adjugate(s)
+        pf = pfaffian(s)
+        prod = s.to_matrix() @ adj.to_matrix()
+        zero = Poly.zero(len(s.upper))
+        for i in range(n):
+            for j in range(n):
+                assert prod[i, j] == (pf if i == j else zero)
+
+
+@pytest.mark.parametrize("n, matchings", [(4, 3), (6, 15), (8, 105)])
+def test_generic_pfaffian_has_one_term_per_perfect_matching(n, matchings):
+    # (n-1)!! perfect matchings of n indices, each a distinct monomial
+    terms = list(pfaffian(generic_skew(n)).items())
+    assert len(terms) == matchings
+    assert all(abs(c) == 1 and sum(e) == n // 2 for e, c in terms)
+
+
+def test_pfaffian_tables_do_not_outlive_a_call():
+    # the same index subsets with other entries: a table kept between
+    # calls would hand the second matrix the first one's sub-Pfaffians
+    rng = Lcg(21)
+    s, t = random_skew(rng, 6), random_skew(rng, 6)
+    pf_s, pf_t = pfaffian(s), pfaffian(t)
+    assert pf_s != pf_t
+    assert pf_s ** 2 == s.to_matrix().det()
+    assert pf_t ** 2 == t.to_matrix().det()
+    assert pfaffian(s.scale(2)) == 8 * pf_s
+    prod = t.to_matrix() @ pfaffian_adjugate(t).to_matrix()
+    assert prod == Matrix.identity(6) * pf_t
 
 
 def test_adjugate_identity_numeric():
@@ -110,6 +142,18 @@ def test_skew_inverse():
         done += 1
     with pytest.raises(SingularMatrix):
         skew_inverse(SkewMatrix.zero(4))
+
+
+@pytest.mark.parametrize("s", [
+    HamPair.random(Lcg(3), 4).metric,
+    SkewMatrix(2, {(1, 2): Poly.var(1, 1)}),
+], ids=["pair_metric", "u1"])
+def test_skew_inverse_of_polynomial_entries_is_rational(s):
+    nv = pfaffian(s).num_vars
+    lifted = s.map_coeffs(lambda v: lift(v, nv)).to_matrix()
+    inv = skew_inverse(s)
+    assert all(isinstance(v, RatFunc) for v in inv.upper.values())
+    assert lifted @ inv.to_matrix() == Matrix.identity(s.n)
 
 
 def test_form_roundtrip():
