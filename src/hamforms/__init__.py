@@ -24,8 +24,8 @@ _EXPORTS = {
     "errors": (
         "HamformsError", "PoleError", "DimensionMismatch", "OddDimension",
         "SingularMatrix", "NotInThetaEta", "DegenerateMetric",
-        "DegenerateImage", "WrongTBlock", "NullSystemOrbit", "ParseError",
-        "ValidationError", "NoResidue", "NullSystemWarning"),
+        "DegenerateImage", "WrongTBlock", "ParseError", "ValidationError",
+        "NoResidue", "NullSystemWarning"),
     "poly": ("Poly", "RatFunc"),
     "linalg": ("Matrix",),
     "skew": ("SkewMatrix", "pfaffian", "pfaffian_adjugate", "skew_inverse"),

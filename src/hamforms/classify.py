@@ -1,11 +1,11 @@
 """Canonical forms and orbit invariants for pairs with two or four fields.
 
-The two-field case has a single open orbit once the rotational entry of
-the right-hand-side matrix is nonzero; the normalizing matrix is written
-down explicitly and logged.  The four-field case is classified by the
-pair of invariants (eta-trace, quadric value) of the splitting of the
-right-hand-side matrix along the standard symplectic form, and the
-canonical representative is emitted directly from those invariants.
+The two-field case is a single orbit once the metric slot is nonzero;
+the normalizing matrix is written down explicitly and logged.  The
+four-field case is classified by the pair of invariants (eta-trace,
+quadric value) of the splitting of the right-hand-side matrix along the
+standard symplectic form, and the canonical representative is emitted
+directly from those invariants.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from .bridge import StructureForm, form_from_pair
 from .errors import (DegenerateMetric, DimensionMismatch, NotInThetaEta,
-                     NullSystemOrbit, WrongTBlock)
+                     WrongTBlock)
 from .forms import AltForm, perm_sign, pullback_linear, wedge
 from .linalg import Matrix
 from .pairs import HamPair
@@ -190,9 +190,8 @@ def format_system(pair, names=None) -> list:
 def classify_n2(sf: StructureForm) -> ClassificationResult:
     """Normal form of a two-field structure form.
 
-    Requires a nondegenerate metric slot and a nonzero rotational entry
-    in the right-hand-side matrix; under those the orbit is unique, the
-    canonical form has unit coefficients on the first three basis
+    Requires a nondegenerate metric slot; under it the orbit is unique,
+    the canonical form has unit coefficients on the first three basis
     monomials, and the normalizing matrix (unimodular on the first
     three coordinates whenever the metric slot is already one) is
     logged together with a pullback verification flag.
@@ -203,8 +202,9 @@ def classify_n2(sf: StructureForm) -> ClassificationResult:
     if not gamma:
         raise DegenerateMetric("the metric slot vanishes")
     a12 = sf.wskew_block().get(1, 2)
-    if not a12:
-        raise NullSystemOrbit("rotational entry is zero; not in the open orbit")
+    # a12 = 0: the element S @ E first shears du3 -> du3 + du4 (entry
+    # (3, 4) of S @ E), which adds gamma du124
+    shear, a12 = Fraction(not a12), a12 or gamma
     b1, b2 = sf.wconst_block()
 
     one, zero = Fraction(1), Fraction(0)
@@ -212,12 +212,12 @@ def classify_n2(sf: StructureForm) -> ClassificationResult:
     a = a12 / gamma
     c1 = b1 / gamma
     c2 = b2
-    m = Matrix([
-        [one / (gamma * a), zero, c2 / gamma],
-        [zero, one, one - c1],
-        [zero, zero, a],
+    element = Matrix([
+        [one / (gamma * a), zero, c2 / gamma, zero],
+        [zero, one, one - c1, zero],
+        [zero, zero, a, shear],
+        [zero, zero, zero, one],
     ])
-    element = Matrix.block_diag(m, Matrix([[one]]))
     canon = canonical_form_n2()
     pulled = pullback_linear(sf.form, element)
     log = {

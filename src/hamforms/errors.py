@@ -37,10 +37,6 @@ class WrongTBlock(HamformsError):
     """Classification requires the canonical metric block and got something else."""
 
 
-class NullSystemOrbit(HamformsError):
-    """Classification input corresponds to the trivial (null) system."""
-
-
 class ParseError(HamformsError):
     """Input file is not syntactically valid."""
 

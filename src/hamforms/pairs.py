@@ -12,9 +12,11 @@ associated first-order system solves  metric . flux = w.
 
 Every polynomial quantity of a pair is a `Poly`: the parameter entries
 of the data, the metric entries, and the cleared flux, numerators
-adj(metric) . w over the common denominator Pf(metric).  The flux is
-reduced to `RatFunc`s only in `HamPair.flux`, for display.  Pairs built
-this way satisfy the compatibility identities checked by
+adj(metric) . w over the common denominator Pf(metric), both read from
+one adjugate.  Construction only shows Pf(metric) is not identically 0:
+by Pf(mconst), its value at the origin of the fields, unless that is 0.
+The flux is reduced to `RatFunc`s only in `HamPair.flux`, for display.
+Pairs built this way satisfy the compatibility identities checked by
 `check_compat`; the check exists to demonstrate that and to expose
 failures for hand-edited fluxes.
 """
@@ -139,14 +141,15 @@ class HamPair:
     exceed N when the pair lives in a ring with extra parameters.  The
     defining data mcubic, mconst, wskew, wconst are constant, each entry
     a Fraction or a Poly in the parameters.  `metric` is derived from
-    them with Poly entries.  The flux is held in cleared form, numerators
-    adj(metric) . w over Pf(metric), computed once on first use and
-    shared by `flux_cleared` and `check_compat`; `flux` reduces it
-    to RatFuncs for display.
+    them with Poly entries; a nonzero Pf(mconst) shows it nondegenerate,
+    and only a singular mconst costs the symbolic Pf(metric).  The flux
+    is held in cleared form, numerators adj(metric) . w over Pf(metric),
+    both read from one adjugate on first use and shared by `flux_cleared`
+    and `check_compat`; `flux` reduces it to RatFuncs for display.
     """
 
     __slots__ = ("N", "nvars", "mcubic", "mconst", "wskew", "wconst", "metric",
-                 "_pf", "_cleared", "_flux")
+                 "_cleared", "_flux")
 
     def __init__(self, mcubic: AltForm, mconst: SkewMatrix, wskew: SkewMatrix, wconst, nvars=None):
         N = mconst.n
@@ -169,8 +172,7 @@ class HamPair:
             lambda c: _data_entry(c, nvars, N, "skew covector part"))
         self.wconst = tuple(_data_entry(b, nvars, N, "constant covector part") for b in wconst)
         self.metric = build_metric(self.mcubic, self.mconst, nvars)
-        self._pf = pfaffian(self.metric)
-        if not self._pf:
+        if not (pfaffian(self.mconst) or pfaffian(self.metric)):
             raise DegenerateMetric("metric pfaffian vanishes identically")
         if self.wskew.is_zero() and not any(self.wconst):
             warnings.warn(
@@ -187,12 +189,14 @@ class HamPair:
         return self._flux
 
     def flux_cleared(self) -> tuple:
-        """Flux numerators over the common pfaffian denominator, all Poly."""
+        """Flux numerators adj . w over Pf(metric) = (metric . adj)_11,
+        all Poly, from one adjugate."""
         if self._cleared is None:
-            adj = pfaffian_adjugate(self.metric)
-            w = rhs_covector(self.wskew, self.wconst, self.nvars)
-            nums = tuple(_row_dot(adj, i, w, self.nvars) for i in range(1, self.N + 1))
-            self._cleared = nums, self._pf
+            adj, N, nv = pfaffian_adjugate(self.metric), self.N, self.nvars
+            w = rhs_covector(self.wskew, self.wconst, nv)
+            nums = tuple(_row_dot(adj, i, w, nv) for i in range(1, N + 1))
+            col = [adj.get(k, 1) for k in range(1, N + 1)]
+            self._cleared = nums, _row_dot(self.metric, 1, col, nv)
         return self._cleared
 
     def __eq__(self, other):
@@ -219,7 +223,7 @@ class HamPair:
         while True:
             mcubic = random_three_form(rng, N, max_num=3)
             mconst = random_skew(rng, N, max_num=3)
-            if not pfaffian(build_metric(mcubic, mconst, N)):
+            if not (pfaffian(mconst) or pfaffian(build_metric(mcubic, mconst, N))):
                 continue
             wskew = random_skew(rng, N, max_num=3)
             wconst = random_vector(rng, N, max_num=3)

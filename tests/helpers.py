@@ -106,3 +106,26 @@ def mod_eval(poly, point):
             v = v * pow(x, k, P61) % P61
         total += v
     return total % P61
+
+
+def count_pair_pfaffians(monkeypatch):
+    """Count the adjugates, and the Pfaffians of matrices with entries in
+    the fields, that `hamforms.pairs` expands from now on."""
+    import hamforms.pairs as pairs_mod
+
+    calls = {"pfaffian": 0, "pfaffian_adjugate": 0}
+    real_pf, real_adj = pairs_mod.pfaffian, pairs_mod.pfaffian_adjugate
+
+    def pf(s):
+        calls["pfaffian"] += any(
+            isinstance(v, Poly) and any(v.uses_var(i) for i in range(1, s.n + 1))
+            for v in s.upper.values())
+        return real_pf(s)
+
+    def adj(s):
+        calls["pfaffian_adjugate"] += 1
+        return real_adj(s)
+
+    monkeypatch.setattr(pairs_mod, "pfaffian", pf)
+    monkeypatch.setattr(pairs_mod, "pfaffian_adjugate", adj)
+    return calls

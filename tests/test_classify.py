@@ -12,7 +12,6 @@ from hamforms import (
     Lcg,
     Matrix,
     NotInThetaEta,
-    NullSystemOrbit,
     ProjectiveMap,
     RatFunc,
     ReciprocalMap,
@@ -129,11 +128,20 @@ def test_classify_two_fields_numeric():
     assert res.log["pullback_matches"] and res.log["det"] == 1
 
 
-def test_classify_two_fields_null_orbit():
-    sf = StructureForm.from_comps(2, {(1, 2, 3): Fraction(1),
-                                      (1, 3, 4): Fraction(3)})
-    with pytest.raises(NullSystemOrbit):
-        classify_n2(sf)
+def test_classify_two_fields_zero_rotational_entry():
+    # a12 = 0 lies in the one orbit too: the shear du3 -> du3 + du4 comes first
+    half = Fraction(1, 2)
+    for comps in ({(1, 2, 3): 1, (1, 3, 4): 1}, {(1, 2, 3): 1, (1, 3, 4): 3},
+                  {(1, 2, 3): 2},
+                  {(1, 2, 3): -1, (1, 3, 4): half, (2, 3, 4): 5}):
+        sf = StructureForm.from_comps(2, {k: Fraction(v)
+                                          for k, v in comps.items()})
+        res = classify_n2(sf)
+        assert res.log["pullback_matches"]
+        assert not res.log["already_canonical"]
+        assert res.log["det"] == 1 / Fraction(comps[(1, 2, 3)])
+        assert res.log["element"].det() == res.log["det"]
+        assert res.canonical_form.form == canonical_form_n2()
 
 
 def test_classify_four_fields():

@@ -13,6 +13,8 @@ from hamforms import (AltForm, HamPair, Lcg, SkewMatrix, eta_matrix,
 from hamforms import cli
 from hamforms.cli import main
 
+from helpers import count_pair_pfaffians
+
 N2_PAIR = {
     "N": 2,
     "T": {"degree": 3, "dim": 2, "terms": []},
@@ -529,3 +531,28 @@ def test_metric_zero_mod_the_modulus_is_input_error(tmp_path):
             env=env, capture_output=True, text=True, timeout=60)
         assert proc.returncode == 2 and not proc.stdout
         assert proc.stderr.startswith("error:") and "2^61-1" in proc.stderr
+
+
+GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
+
+
+@pytest.mark.parametrize("n", [4, 6])
+def test_pair_commands_expand_no_symbolic_pfaffian(capsys, tmp_path,
+                                                   monkeypatch, n):
+    # compose, decompose and the projective and x-t transforms never read
+    # the flux, so they need no Pf(g) and no adjugate; every pair they
+    # build has a nondegenerate constant block
+    calls = count_pair_pfaffians(monkeypatch)
+    pair = os.path.join(GOLDEN, "n%d_pair.json" % n)
+    proj = tmp_path / "proj.json"
+    proj.write_text(json.dumps({"matrix": [
+        [str(int(i == j or j == i + 1)) for j in range(n + 1)]
+        for i in range(n + 1)]}))
+    for argv in (["compose", "--pair", pair],
+                 ["decompose", "--omega",
+                  os.path.join(GOLDEN, "out", "n%d.compose.json" % n)],
+                 ["transform", "--pair", pair, "--projective", str(proj)],
+                 ["transform", "--pair", pair, "--xt"]):
+        code, _, _ = run(capsys, *argv)
+        assert code == 0, argv
+    assert calls == {"pfaffian": 0, "pfaffian_adjugate": 0}

@@ -67,7 +67,7 @@ def test_star_import_dir_and_unknown_names():
         "print(json.dumps({'star': sorted(set(ns) - {'__builtins__'}),\n"
         "                  'all': hamforms.__all__, 'dir': dir(hamforms),\n"
         "                  'missing': missing}))")
-    assert len(rep["all"]) == 76 and rep["all"][-1] == "__version__"
+    assert len(rep["all"]) == 75 and rep["all"][-1] == "__version__"
     assert rep["star"] == sorted(rep["all"])
     assert set(rep["all"]) <= set(rep["dir"])
     assert rep["missing"]

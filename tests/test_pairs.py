@@ -4,6 +4,8 @@ The defining relation (metric times flux equals the affine covector) is
 proved symbolically here, independently of check_compat's own route.
 """
 
+import hashlib
+import json
 from fractions import Fraction
 from functools import cache
 
@@ -26,13 +28,15 @@ from hamforms import (
     apply_reciprocal,
     build_metric,
     check_compat,
+    pair_to_dict,
+    pfaffian,
     rhs_covector,
 )
 from hamforms.poly import divides
 from hamforms.sampling import _random_residue, run_check
 
-from helpers import (P61, generic_pair_n2, generic_pair_n4, mod_eval,
-                     pairs_equal)
+from helpers import (P61, count_pair_pfaffians, generic_pair_n2,
+                     generic_pair_n4, mod_eval, pairs_equal)
 
 
 def _defining_residuals(pair):
@@ -83,23 +87,69 @@ def test_flux_matches_cleared_form():
 
 
 def test_cleared_flux_computed_once(monkeypatch):
-    import hamforms.pairs as pairs_mod
+    calls = count_pair_pfaffians(monkeypatch)
+    for make in (lambda: HamPair.random(Lcg(3), 2),
+                 lambda: HamPair.random(Lcg(3), 4),
+                 lambda: HamPair.random(Lcg(3), 6), generic_pair_n4):
+        calls.update(pfaffian=0, pfaffian_adjugate=0)
+        pair = make()
+        assert calls == {"pfaffian": 0, "pfaffian_adjugate": 0}
+        cleared = pair.flux_cleared()
+        assert pair.flux_cleared() is cleared
+        pair.flux
+        check_compat(pair, mode="sampled", samples=2)
+        assert calls == {"pfaffian": 0, "pfaffian_adjugate": 1}
+        assert cleared[1] == pfaffian(pair.metric)
 
-    calls = {"pfaffian": 0, "pfaffian_adjugate": 0}
-    for name in calls:
-        real = getattr(pairs_mod, name)
 
-        def counted(s, name=name, real=real):
-            calls[name] += 1
-            return real(s)
+_ONE = Fraction(1)
 
-        monkeypatch.setattr(pairs_mod, name, counted)
-    pair = generic_pair_n4()
-    cleared = pair.flux_cleared()
-    assert pair.flux_cleared() is cleared
-    pair.flux
-    check_compat(pair, mode="sampled", samples=2)
-    assert calls == {"pfaffian": 1, "pfaffian_adjugate": 1}
+
+@pytest.mark.parametrize("n, cubic, const, pf", [
+    (4, {(2, 3, 4): _ONE}, {(1, 2): _ONE}, "u2"),
+    (6, {(4, 5, 6): _ONE}, {(1, 2): _ONE, (3, 4): _ONE}, "u4"),
+    (6, {(2, 5, 6): _ONE, (1, 3, 4): _ONE}, {(1, 2): _ONE}, "u1*u2"),
+])
+def test_singular_constant_block_falls_back_to_the_metric(n, cubic, const, pf):
+    # Pf(g0) = 0, so only the symbolic Pf(g) shows the metric nondegenerate
+    assert not pfaffian(SkewMatrix(n, const))
+    pair = HamPair(AltForm(3, n, cubic), SkewMatrix(n, const),
+                   SkewMatrix(n, {(1, 2): _ONE}), (_ONE,) * n)
+    assert pair.flux_cleared()[1] == pfaffian(pair.metric)
+    assert str(pfaffian(pair.metric)) == pf
+    assert check_compat(pair, mode="symbolic")["all_zero"]
+
+
+def test_singular_parametric_constant_block_falls_back_to_the_metric():
+    # g0 = a du12 in the ring u1..u4 | a: Pf(g0) = 0, Pf(g) = a u2
+    a = Poly.var(5, 5)
+    pair = HamPair(AltForm(3, 4, {(2, 3, 4): _ONE}), SkewMatrix(4, {(1, 2): a}),
+                   SkewMatrix(4, {(1, 2): _ONE}), (_ONE,) * 4, nvars=5)
+    assert pair.flux_cleared()[1] == pfaffian(pair.metric) == a * Poly.var(5, 2)
+
+
+# SHA-256 of the sorted JSON of pair_to_dict(HamPair.random(Lcg(s), N)):
+# pins the Lcg draws and which draws are rejected as singular.  Seed 12
+# at N=2 draws a singular metric first and rejects it.
+_RANDOM_PAIR_DIGESTS = {
+    (1, 2): "5fb3e4d6117516ae52bad5ac1b3d772f900dcdd99b42829fea12fe32f68e0979",
+    (1, 4): "1e6b2bb9932a5974c0484f854f5ff1d0be73e7f77e7bc8baba83aa5a17f551a2",
+    (1, 6): "279d14d2d4f2e7c99507ae02512ea26e1444789a9e1e35cddad7a8e7b3e4a55f",
+    (2, 2): "ca3284e614a23716e29580b174a56eee8b7e5bb8ef38cbb5966fcfd2d22bddbf",
+    (2, 4): "f65819348aba305b7d65b5afb7790829e2bda019a158e68d871e17c5409e00d8",
+    (2, 6): "6417a1f7903fade88b30813a830a236941265d429f78d41c48b651cb4d80b8e3",
+    (3, 2): "a6dc00157620316323ab77e7f5e5ea7c107d1eba029a9045ee877020b55dfd90",
+    (3, 4): "51a828c2112a9272f2135326f0fcef01490f3c002628aac10fcaaa4c359a679b",
+    (3, 6): "b54f9d6f709c566fccc72388550f7ccc18a920d2df140ed0f0a72faba2114511",
+    (12, 2): "4249a2b984499ba8d8b06c08a4dec3ab3f3d492f5b6a3b9791fbbbf95d63431f",
+}
+
+
+@pytest.mark.parametrize("seed, n", sorted(_RANDOM_PAIR_DIGESTS))
+def test_random_pair_stream_is_pinned(seed, n):
+    d = pair_to_dict(HamPair.random(Lcg(seed), n))
+    digest = hashlib.sha256(json.dumps(d, sort_keys=True).encode()).hexdigest()
+    assert digest == _RANDOM_PAIR_DIGESTS[(seed, n)]
 
 
 def test_check_compat_symbolic():
@@ -135,6 +185,10 @@ def test_degenerate_metric_rejected():
             SkewMatrix(2, {(1, 2): Fraction(1)}),
             (Fraction(0), Fraction(0)),
         )
+    # g(u) u = 0 when g0 = 0, so no cubic block alone makes a metric
+    with pytest.raises(DegenerateMetric):
+        HamPair(AltForm(3, 4, {(1, 2, 3): Fraction(1)}), SkewMatrix.zero(4),
+                SkewMatrix(4, {(1, 2): Fraction(1)}), (Fraction(1),) * 4)
 
 
 def test_odd_dimension_rejected():
