@@ -10,7 +10,9 @@ Subcommands:
   transform   projective / x-t exchange / reciprocal transformation
   audit       dimension bookkeeping and stabilizer checks
 
-Shared flags: --seed <s>, --format text|json|csv, --output <path>.
+Shared flags: --seed <s>, --format text|json|csv, --output <path>.  The
+flags of each subcommand come from one table, `_COMMANDS`, which also
+names its handler; `build_parser` reads nothing else.
 verify, congruence and transform also take --symbolic or --sample <n>.
 With neither they follow the library's "auto" rule: symbolic for N <= 4,
 sampled at 20 points above.  Sampled checks evaluate at residues modulo
@@ -45,20 +47,19 @@ import io
 import json
 import math
 import sys
+from collections import namedtuple
 from fractions import Fraction
 
 from .errors import HamformsError, ValidationError
-from .linalg import Matrix
 from .pairs import auto_mode, check_compat
 from .bridge import form_from_pair, pair_from_form, dimension_audit
 from .congruence import (pair_columns, plucker_homogeneous,
                          congruence_rank, congruence_checks)
 from .classify import classify_n2, classify_n4, stabilizer_audit, format_system
-from .transforms import (ProjectiveMap, ReciprocalMap, apply_projective,
-                         apply_xt_exchange, apply_reciprocal)
-from .serialize import (rational_to_str, rational_from_str, load_json,
-                        dump_json, load_pair, pair_to_dict,
-                        parse_omega_file, omega_to_dict)
+from .transforms import apply_projective, apply_xt_exchange, apply_reciprocal
+from .serialize import (rational_to_str, dump_json, load_pair, pair_to_dict,
+                        parse_omega_file, omega_to_dict, load_projective,
+                        load_reciprocal)
 
 __all__ = ["main"]
 
@@ -135,10 +136,12 @@ def _check(name, ok, provenance, residuals=None) -> dict:
             "provenance": provenance, "residuals": residuals or {}}
 
 
-def _report(command, inputs, mode, checks, **payload) -> dict:
+def _report(command, inputs, mode, checks, **payload) -> tuple:
+    """(ok, report, table), as every handler returns them; `table` is the
+    report's coefficient table where it has one."""
     ok = all(c["status"] == "pass" for c in checks)
-    return dict(payload, command=command, inputs=inputs, mode=mode,
-                checks=checks, ok=ok)
+    return ok, dict(payload, command=command, inputs=inputs, mode=mode,
+                    checks=checks, ok=ok), payload.get("table")
 
 
 def _scalars(value, path=""):
@@ -155,7 +158,7 @@ def _scalars(value, path=""):
         yield path, value if isinstance(value, str) else json.dumps(value)
 
 
-def _emit(args, payload, table=None) -> None:
+def _emit(args, payload, table) -> None:
     """Render the report in the asked format; `table` is the command's
     coefficient table, the CSV rendering where there is one."""
     if args.format == "json":
@@ -182,20 +185,16 @@ def _emit(args, payload, table=None) -> None:
 
 # -- subcommands -------------------------------------------------------
 
-def cmd_compose(args) -> int:
+def cmd_compose(args) -> tuple:
     pair = load_pair(args.pair)
     sf = form_from_pair(pair)
-    ok = pair_from_form(sf) == pair
-    _emit(args, omega_to_dict(sf))
-    return 0 if ok else 1
+    return pair_from_form(sf) == pair, omega_to_dict(sf), None
 
 
-def cmd_decompose(args) -> int:
+def cmd_decompose(args) -> tuple:
     sf = parse_omega_file(args.omega)
     pair = pair_from_form(sf)
-    ok = form_from_pair(pair).form == sf.form
-    _emit(args, pair_to_dict(pair))
-    return 0 if ok else 1
+    return form_from_pair(pair).form == sf.form, pair_to_dict(pair), None
 
 
 def _residual_json(res) -> dict:
@@ -210,7 +209,7 @@ def _residual_json(res) -> dict:
     return out
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args) -> tuple:
     pair = load_pair(args.pair)
     mode = _mode_of(args, pair.N)
     rep = check_compat(pair, mode=mode["kind"], samples=mode["samples"],
@@ -225,40 +224,21 @@ def cmd_verify(args) -> int:
                _residual_json(rep["second_order"])),
     ]
     _add_bound(mode, rep)
-    payload = _report("verify", {"pair": args.pair}, mode, checks)
-    _emit(args, payload)
-    return 0 if payload["ok"] else 1
+    return _report("verify", {"pair": args.pair}, mode, checks)
 
 
-def _column_label(j, k, dim) -> str:
-    return ("p%d%d" if dim <= 9 else "p%d_%d") % (j, k)
-
-
-def _equation_strings(m, dim) -> list:
-    cols = pair_columns(dim)
+def _equation_strings(table) -> list:
     out = []
-    for i in range(m.nrows):
-        parts = []
-        for c, (j, k) in enumerate(cols):
-            v = m[i, c]
-            if not v:
-                continue
-            s = _scalar_str(v)
-            label = _column_label(j, k, dim)
-            if s == "1":
-                parts.append(label)
-            elif s == "-1":
-                parts.append("-%s" % label)
-            elif " " in s:
-                parts.append("(%s)*%s" % (s, label))
-            else:
-                parts.append("%s*%s" % (s, label))
+    for row, entries in zip(table["rows"], table["entries"]):
+        # entries are rationals: a pair file holds constant blocks only
+        parts = [{"1": "", "-1": "-"}.get(s, s + "*") + label
+                 for s, label in zip(entries, table["columns"]) if s != "0"]
         eq = " + ".join(parts).replace("+ -", "- ") if parts else "0"
-        out.append("du%d: %s = 0" % (i + 1, eq))
+        out.append("%s: %s = 0" % (row, eq))
     return out
 
 
-def cmd_congruence(args) -> int:
+def cmd_congruence(args) -> tuple:
     pair = load_pair(args.pair)
     mode = _mode_of(args, pair.N)
     sf = form_from_pair(pair)
@@ -278,10 +258,10 @@ def cmd_congruence(args) -> int:
                _residual_json(rep["quadrics"])),
     ]
 
-    cols = pair_columns(dim)
+    label = "p%d%d" if dim <= 9 else "p%d_%d"
     table = {
         "rows": ["du%d" % i for i in range(1, dim + 1)],
-        "columns": [_column_label(j, k, dim) for (j, k) in cols],
+        "columns": [label % jk for jk in pair_columns(dim)],
         "entries": [[_scalar_str(m[i, c]) for c in range(m.ncols)]
                     for i in range(m.nrows)],
     }
@@ -293,15 +273,12 @@ def cmd_congruence(args) -> int:
                         if rank_info["certificate"] is not None else None),
     }
     _add_bound(mode, rep)
-    payload = _report("congruence", {"pair": args.pair}, mode, checks,
-                      table=table, rank=rank_payload)
-    if args.table:
-        payload["equations"] = _equation_strings(m, dim)
-    _emit(args, payload, table)
-    return 0 if payload["ok"] else 1
+    extra = {"equations": _equation_strings(table)} if args.table else {}
+    return _report("congruence", {"pair": args.pair}, mode, checks,
+                   table=table, rank=rank_payload, **extra)
 
 
-def cmd_classify(args) -> int:
+def cmd_classify(args) -> tuple:
     sf = parse_omega_file(args.omega)
     if sf.N == 2:
         result = classify_n2(sf)
@@ -314,65 +291,21 @@ def cmd_classify(args) -> int:
         raise ValidationError("classification is implemented for N=2 and "
                               "N=4, got N=%d" % sf.N)
     system = format_system(result.canonical_pair)
-    log = {}
-    for k, v in sorted(result.log.items()):
-        if isinstance(v, (bool, int, str)):
-            log[k] = v
-        elif isinstance(v, Fraction):
-            log[k] = _scalar_str(v)
+    log = {k: v if isinstance(v, (bool, int, str)) else _scalar_str(v)
+           for k, v in sorted(result.log.items())
+           if isinstance(v, (bool, int, str, Fraction))}
     mode = _mode_of(args)
     checks = []
     if sf.N == 2:
         checks.append(_check("normalization verified by pullback",
                              result.log["pullback_matches"], "symbolic"))
-    payload = _report("classify", {"omega": args.omega}, mode, checks,
-                      N=sf.N, invariants=invariants,
-                      canonical=omega_to_dict(result.canonical_form),
-                      system=system, log=log)
-    _emit(args, payload)
-    return 0 if payload["ok"] else 1
+    return _report("classify", {"omega": args.omega}, mode, checks,
+                   N=sf.N, invariants=invariants,
+                   canonical=omega_to_dict(result.canonical_form),
+                   system=system, log=log)
 
 
-def _parse_matrix_file(path) -> Matrix:
-    d = load_json(path)
-    if not isinstance(d, dict) or set(d) != {"matrix"}:
-        raise ValidationError("%s: expected an object with a single "
-                              "\"matrix\" key" % path)
-    rows = d["matrix"]
-    if (not isinstance(rows, list) or not rows
-            or not all(isinstance(r, list) for r in rows)):
-        raise ValidationError("%s: matrix must be a list of rows" % path)
-    for i, r in enumerate(rows):
-        if len(r) != len(rows[0]):
-            raise ValidationError("%s.matrix[%d]: expected %d entries like "
-                                  "row 0, got %d"
-                                  % (path, i, len(rows[0]), len(r)))
-    parsed = [[rational_from_str(v, "%s.matrix[%d][%d]" % (path, i, j))
-               for j, v in enumerate(r)] for i, r in enumerate(rows)]
-    return Matrix(parsed)
-
-
-def _parse_reciprocal_file(path, n) -> ReciprocalMap:
-    d = load_json(path)
-    keys = {"ax", "ax0", "bt", "bx", "cx", "dt0"}
-    if not isinstance(d, dict) or set(d) != keys:
-        raise ValidationError("%s: expected exactly the keys %s"
-                              % (path, sorted(keys)))
-    for key in ("ax", "bx"):
-        if not isinstance(d[key], list) or len(d[key]) != n:
-            raise ValidationError("%s.%s: expected a list of %d rationals"
-                                  % (path, key, n))
-    ax = [rational_from_str(v, "%s.ax[%d]" % (path, k))
-          for k, v in enumerate(d["ax"])]
-    bx = [rational_from_str(v, "%s.bx[%d]" % (path, k))
-          for k, v in enumerate(d["bx"])]
-    scal = {key: rational_from_str(d[key], "%s.%s" % (path, key))
-            for key in ("ax0", "bt", "cx", "dt0")}
-    return ReciprocalMap(n, ax, scal["ax0"], scal["bt"], bx, scal["cx"],
-                         scal["dt0"])
-
-
-def cmd_transform(args) -> int:
+def cmd_transform(args) -> tuple:
     if args.sample is not None and not args.reciprocal:
         raise ValidationError("--sample: only --reciprocal samples; the "
                               "projective and x-t checks are symbolic")
@@ -383,8 +316,8 @@ def cmd_transform(args) -> int:
 
     if args.projective:
         inputs["projective"] = args.projective
-        phi = ProjectiveMap(_parse_matrix_file(args.projective))
-        new_pair, rep = apply_projective(pair, phi)
+        new_pair, rep = apply_projective(pair,
+                                         load_projective(args.projective))
         checks.append(_check("metric conformal law under the point map",
                              rep["conformal_ok"], "symbolic"))
         extra = {"kind": "projective",
@@ -397,8 +330,8 @@ def cmd_transform(args) -> int:
         extra = {"kind": "xt"}
     else:
         inputs["reciprocal"] = args.reciprocal
-        r = _parse_reciprocal_file(args.reciprocal, pair.N)
-        new_pair = apply_reciprocal(pair, r)
+        new_pair = apply_reciprocal(
+            pair, load_reciprocal(args.reciprocal, pair.N))
         rep = check_compat(new_pair, mode=mode["kind"],
                            samples=mode["samples"], seed=mode["seed"])
         _add_bound(mode, rep)
@@ -407,13 +340,11 @@ def cmd_transform(args) -> int:
                              rep["all_zero"], rep["mode"]))
         extra = {"kind": "reciprocal"}
 
-    payload = _report("transform", inputs, mode, checks,
-                      pair=pair_to_dict(new_pair), **extra)
-    _emit(args, payload)
-    return 0 if payload["ok"] else 1
+    return _report("transform", inputs, mode, checks,
+                   pair=pair_to_dict(new_pair), **extra)
 
 
-def cmd_audit(args) -> int:
+def cmd_audit(args) -> tuple:
     try:
         dims = sorted({int(v) for v in args.dims.split(",") if v.strip()})
     except ValueError:
@@ -437,10 +368,8 @@ def cmd_audit(args) -> int:
                          all(stab["exact"].values()), "symbolic"))
     checks.append(_check("non-symplectic control direction breaks it",
                          not stab["negative_control_preserved"], "symbolic"))
-    payload = _report("audit", {"dims": dims}, mode, checks,
-                      dimension=dim_reports, stabilizer=stab)
-    _emit(args, payload)
-    return 0 if payload["ok"] else 1
+    return _report("audit", {"dims": dims}, mode, checks,
+                   dimension=dim_reports, stabilizer=stab)
 
 
 # -- argument parsing --------------------------------------------------
@@ -456,19 +385,48 @@ def _add_sampling(sp) -> None:
                             "at most %d)" % _SAMPLE_MAX)
 
 
-def _add_common(sp) -> None:
-    sp.set_defaults(sample=None)
-    sp.add_argument("--seed", type=int, default=1, metavar="S",
-                    help="seed of the documented linear congruential "
-                         "generator (default 1)")
-    sp.add_argument("--format", choices=("text", "json", "csv"),
-                    default="text",
-                    help="render the JSON report as text (a path: value "
-                         "line per scalar, the default), json (the report "
-                         "itself) or csv (the congruence table, else "
-                         "key,value rows)")
-    sp.add_argument("--output", metavar="PATH", default=None,
-                    help="write output to PATH instead of stdout")
+def _add_table(sp) -> None:
+    sp.add_argument("--table", action="store_true",
+                    help="add the rendered equations to the report under "
+                         "\"equations\", so every format shows them")
+
+
+def _add_kind(sp) -> None:
+    kind = sp.add_mutually_exclusive_group(required=True)
+    kind.add_argument("--projective", metavar="FILE",
+                      help="JSON file {\"matrix\": [[...]]} of size N+1")
+    kind.add_argument("--xt", action="store_true",
+                      help="swap the two independent variables")
+    kind.add_argument("--reciprocal", metavar="FILE",
+                      help="JSON file with keys ax, ax0, bt, bx, cx, dt0")
+
+
+def _add_dims(sp) -> None:
+    sp.add_argument("--dims", default="2,4,6,8", metavar="LIST",
+                    help="comma-separated field counts (default 2,4,6,8)")
+
+
+# a subcommand's help line, its handler, the flag naming its input file
+# and the builders of its own flags, in the order help lists them; every
+# handler returns (ok, report, table) and `main` renders the report
+_Command = namedtuple("_Command", "help run infile flags")
+_COMMANDS = {
+    "compose": _Command("pair file to structure-form file", cmd_compose,
+                        "--pair", ()),
+    "decompose": _Command("structure-form file to pair file", cmd_decompose,
+                          "--omega", ()),
+    "verify": _Command("compatibility identities of a pair", cmd_verify,
+                       "--pair", (_add_sampling,)),
+    "congruence": _Command("congruence table, rank, and line checks",
+                           cmd_congruence, "--pair",
+                           (_add_table, _add_sampling)),
+    "classify": _Command("invariants and canonical form of a structure form",
+                         cmd_classify, "--omega", ()),
+    "transform": _Command("transform a pair", cmd_transform, "--pair",
+                          (_add_kind, _add_sampling)),
+    "audit": _Command("dimension bookkeeping and stabilizer checks",
+                      cmd_audit, None, (_add_dims,)),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -478,74 +436,36 @@ def build_parser() -> argparse.ArgumentParser:
                     "second-order homogeneous Hamiltonian operators, and "
                     "hydrodynamic conservation laws.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    sp = sub.add_parser("compose", help="pair file to structure-form file")
-    sp.add_argument("--pair", required=True, metavar="FILE")
-    _add_common(sp)
-    sp.set_defaults(func=cmd_compose)
-
-    sp = sub.add_parser("decompose", help="structure-form file to pair file")
-    sp.add_argument("--omega", required=True, metavar="FILE")
-    _add_common(sp)
-    sp.set_defaults(func=cmd_decompose)
-
-    sp = sub.add_parser("verify", help="compatibility identities of a pair")
-    sp.add_argument("--pair", required=True, metavar="FILE")
-    _add_sampling(sp)
-    _add_common(sp)
-    sp.set_defaults(func=cmd_verify)
-
-    sp = sub.add_parser("congruence",
-                        help="congruence table, rank, and line checks")
-    sp.add_argument("--pair", required=True, metavar="FILE")
-    sp.add_argument("--table", action="store_true",
-                    help="add the rendered equations to the report under "
-                         "\"equations\", so every format shows them")
-    _add_sampling(sp)
-    _add_common(sp)
-    sp.set_defaults(func=cmd_congruence)
-
-    sp = sub.add_parser("classify",
-                        help="invariants and canonical form of a "
-                             "structure form")
-    sp.add_argument("--omega", required=True, metavar="FILE")
-    _add_common(sp)
-    sp.set_defaults(func=cmd_classify)
-
-    sp = sub.add_parser("transform", help="transform a pair")
-    sp.add_argument("--pair", required=True, metavar="FILE")
-    kind = sp.add_mutually_exclusive_group(required=True)
-    kind.add_argument("--projective", metavar="FILE",
-                      help="JSON file {\"matrix\": [[...]]} of size N+1")
-    kind.add_argument("--xt", action="store_true",
-                      help="swap the two independent variables")
-    kind.add_argument("--reciprocal", metavar="FILE",
-                      help="JSON file with keys ax, ax0, bt, bx, cx, dt0")
-    _add_sampling(sp)
-    _add_common(sp)
-    sp.set_defaults(func=cmd_transform)
-
-    sp = sub.add_parser("audit",
-                        help="dimension bookkeeping and stabilizer checks")
-    sp.add_argument("--dims", default="2,4,6,8", metavar="LIST",
-                    help="comma-separated field counts (default 2,4,6,8)")
-    _add_common(sp)
-    sp.set_defaults(func=cmd_audit)
-
+    for name, command in _COMMANDS.items():
+        sp = sub.add_parser(name, help=command.help)
+        if command.infile:
+            sp.add_argument(command.infile, required=True, metavar="FILE")
+        for add_flags in command.flags:
+            add_flags(sp)
+        sp.set_defaults(sample=None)  # _mode_of reads it on every command
+        sp.add_argument("--seed", type=int, default=1, metavar="S",
+                        help="seed of the documented linear congruential "
+                             "generator (default 1)")
+        sp.add_argument("--format", choices=("text", "json", "csv"),
+                        default="text",
+                        help="render the JSON report as text (a path: value "
+                             "line per scalar, the default), json (the "
+                             "report itself) or csv (the congruence table, "
+                             "else key,value rows)")
+        sp.add_argument("--output", metavar="PATH", default=None,
+                        help="write output to PATH instead of stdout")
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
-    except HamformsError as exc:
+        ok, payload, table = _COMMANDS[args.command].run(args)
+        _emit(args, payload, table)
+    except (HamformsError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
-    except OSError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 2
+    return 0 if ok else 1
 
 
 if __name__ == "__main__":

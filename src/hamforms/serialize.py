@@ -1,14 +1,17 @@
-"""JSON file formats for forms, pairs, and structure three-forms.
+"""JSON file formats for forms, pairs, structure three-forms and maps.
 
 Every number travels as an exact rational string "p/q" (or "p"), an
 alternating form as {"degree": d, "dim": n, "terms": [{"idx": [...],
 "coeff": "p/q"}, ...]} with 1-based strictly increasing indices, a pair
 as {"N": n, "T": form, "g0": form, "A": form, "B": [...]}, and a
 structure three-form file as {"N": n, "terms": [...]} on n+2
-coordinates.  Writers emit sorted keys and sorted terms so identical
-data always produces identical bytes.  Readers are strict: structural
-problems raise ParseError with a field path, semantic ones raise
-ValidationError.
+coordinates.  The transform inputs are read only: a projective map is
+{"matrix": [[...], ...]}, a square matrix of side N+1, and a reciprocal
+map {"ax": [...], "ax0": r, "bt": r, "bx": [...], "cx": r, "dt0": r}
+with N entries in ax and bx.  Writers emit sorted keys and sorted terms
+so identical data always produces identical bytes.  Readers are strict:
+structural problems raise ParseError with a field path, semantic ones
+raise ValidationError.
 """
 
 import json
@@ -16,12 +19,15 @@ import re
 import sys
 from fractions import Fraction
 
-from .errors import ParseError, ValidationError
+from .errors import (DimensionMismatch, ParseError, SingularMatrix,
+                     ValidationError)
 from .forms import AltForm
+from .linalg import Matrix
 from .poly import Poly, RatFunc
 from .skew import SkewMatrix
 from .pairs import HamPair
 from .bridge import StructureForm
+from .transforms import ProjectiveMap, ReciprocalMap
 
 __all__ = [
     "rational_to_str", "rational_from_str",
@@ -30,6 +36,7 @@ __all__ = [
     "omega_to_dict", "omega_from_dict",
     "load_json", "dump_json", "save_json",
     "load_pair", "save_pair", "parse_omega_file", "save_omega",
+    "load_projective", "load_reciprocal",
 ]
 
 
@@ -60,6 +67,17 @@ def rational_from_str(s, where: str = "coefficient") -> Fraction:
         raise ParseError(_TOO_LONG % (where, sys.get_int_max_str_digits()))
 
 
+def _rationals(v, n: int, where: str) -> list:
+    """A list of n rational strings, read."""
+    if not isinstance(v, list):
+        raise ParseError("%s: expected a list" % where)
+    if len(v) != n:
+        raise ValidationError("%s: expected %d entries, got %d"
+                              % (where, n, len(v)))
+    return [rational_from_str(x, "%s[%d]" % (where, k))
+            for k, x in enumerate(v)]
+
+
 def _as_rational(c, where: str) -> Fraction:
     if isinstance(c, (int, Fraction)):
         return Fraction(c)
@@ -77,11 +95,7 @@ def form_to_dict(form: AltForm) -> dict:
 
 
 def form_from_dict(d, where: str = "form", degree=None, dim=None) -> AltForm:
-    if not isinstance(d, dict):
-        raise ParseError("%s: expected an object" % where)
-    extra = set(d) - {"degree", "dim", "terms"}
-    if extra:
-        raise ParseError("%s: unknown keys %s" % (where, sorted(extra)))
+    _expect_object(d, {"degree", "dim", "terms"}, where)
     deg = _expect_int(d, "degree", where)
     n = _expect_int(d, "dim", where)
     if degree is not None and deg != degree:
@@ -126,6 +140,14 @@ def _terms_from_list(terms, degree: int, dim: int, where: str) -> dict:
     return comps
 
 
+def _expect_object(d, keys, where: str) -> None:
+    if not isinstance(d, dict):
+        raise ParseError("%s: expected an object" % where)
+    extra = set(d) - set(keys)
+    if extra:
+        raise ParseError("%s: unknown keys %s" % (where, sorted(extra)))
+
+
 def _expect_int(d, key: str, where: str) -> int:
     v = d.get(key)
     if not isinstance(v, int) or isinstance(v, bool):
@@ -159,25 +181,14 @@ def pair_to_dict(pair: HamPair) -> dict:
 
 
 def pair_from_dict(d, where: str = "pair") -> HamPair:
-    if not isinstance(d, dict):
-        raise ParseError("%s: expected an object" % where)
-    extra = set(d) - {"N", "T", "g0", "A", "B"}
-    if extra:
-        raise ParseError("%s: unknown keys %s" % (where, sorted(extra)))
+    _expect_object(d, {"N", "T", "g0", "A", "B"}, where)
     n = _expect_even_n(d, where)
     mcubic = form_from_dict(d.get("T"), where + ".T", degree=3, dim=n)
     mconst = SkewMatrix.from_form(form_from_dict(d.get("g0"), where + ".g0",
                                                  degree=2, dim=n))
     wskew = SkewMatrix.from_form(form_from_dict(d.get("A"), where + ".A",
                                                 degree=2, dim=n))
-    b = d.get("B")
-    if not isinstance(b, list):
-        raise ParseError("%s.B: expected a list" % where)
-    if len(b) != n:
-        raise ValidationError("%s.B: expected %d entries, got %d"
-                              % (where, n, len(b)))
-    wconst = tuple(rational_from_str(v, "%s.B[%d]" % (where, k))
-                   for k, v in enumerate(b))
+    wconst = tuple(_rationals(d.get("B"), n, where + ".B"))
     return HamPair(mcubic, mconst, wskew, wconst)
 
 
@@ -189,11 +200,7 @@ def omega_to_dict(sf: StructureForm) -> dict:
 
 
 def omega_from_dict(d, where: str = "omega") -> StructureForm:
-    if not isinstance(d, dict):
-        raise ParseError("%s: expected an object" % where)
-    extra = set(d) - {"N", "terms"}
-    if extra:
-        raise ParseError("%s: unknown keys %s" % (where, sorted(extra)))
+    _expect_object(d, {"N", "terms"}, where)
     n = _expect_even_n(d, where)
     comps = _terms_from_list(d.get("terms"), 3, n + 2, where)
     return StructureForm(n, AltForm(3, n + 2, comps))
@@ -243,3 +250,38 @@ def parse_omega_file(path: str) -> StructureForm:
 
 def save_omega(sf: StructureForm, path: str) -> None:
     save_json(omega_to_dict(sf), path)
+
+
+def _built(path: str, make, *args, **kwargs):
+    """make(*args, **kwargs), a refusal of the data re-raised naming the
+    file."""
+    try:
+        return make(*args, **kwargs)
+    except (DimensionMismatch, SingularMatrix, ValidationError) as exc:
+        raise ValidationError("%s: %s" % (path, exc))
+
+
+def load_projective(path: str) -> ProjectiveMap:
+    """The projective map of a file, its matrix of side N+1."""
+    d = load_json(path)
+    _expect_object(d, {"matrix"}, path)
+    rows = d.get("matrix")
+    if not (isinstance(rows, list) and rows and isinstance(rows[0], list)):
+        raise ValidationError("%s: matrix must be a list of rows" % path)
+    return _built(path, ProjectiveMap, Matrix(
+        [_rationals(r, len(rows[0]), "%s.matrix[%d]" % (path, i))
+         for i, r in enumerate(rows)]))
+
+
+_RECIPROCAL_KEYS = ("ax", "ax0", "bt", "bx", "cx", "dt0")
+
+
+def load_reciprocal(path: str, n: int) -> ReciprocalMap:
+    """The reciprocal map of a file, for a pair on n fields."""
+    d = load_json(path)
+    _expect_object(d, _RECIPROCAL_KEYS, path)
+    coeffs = {k: _rationals(d.get(k), n, "%s.%s" % (path, k))
+              if k in ("ax", "bx")
+              else rational_from_str(d.get(k), "%s.%s" % (path, k))
+              for k in _RECIPROCAL_KEYS}
+    return _built(path, ReciprocalMap, n, **coeffs)

@@ -1,5 +1,6 @@
 """Command line driver, exercised in process through main()."""
 
+import argparse
 import json
 import os
 import subprocess
@@ -8,10 +9,12 @@ from fractions import Fraction
 
 import pytest
 
-from hamforms import (AltForm, HamPair, Lcg, SkewMatrix, eta_matrix,
-                      form_from_pair, omega_to_dict, pair_to_dict)
+from hamforms import (AltForm, HamPair, Lcg, ParseError, SkewMatrix,
+                      ValidationError, eta_matrix, form_from_pair,
+                      omega_to_dict, pair_to_dict)
 from hamforms import cli
 from hamforms.cli import main
+from hamforms.serialize import load_projective, load_reciprocal
 
 from helpers import count_pair_pfaffians
 
@@ -556,3 +559,102 @@ def test_pair_commands_expand_no_symbolic_pfaffian(capsys, tmp_path,
         code, _, _ = run(capsys, *argv)
         assert code == 0, argv
     assert calls == {"pfaffian": 0, "pfaffian_adjugate": 0}
+
+
+# the options of each subcommand in help order, a required one marked
+# "!", and its mutually exclusive groups, a required group marked "!"
+CLI_SURFACE = {
+    "compose": ("--pair! --seed --format --output", []),
+    "decompose": ("--omega! --seed --format --output", []),
+    "verify": ("--pair! --symbolic --sample --seed --format --output",
+               ["--symbolic --sample"]),
+    "congruence": ("--pair! --table --symbolic --sample --seed --format "
+                   "--output", ["--symbolic --sample"]),
+    "classify": ("--omega! --seed --format --output", []),
+    "transform": ("--pair! --projective --xt --reciprocal --symbolic "
+                  "--sample --seed --format --output",
+                  ["--projective --xt --reciprocal!", "--symbolic --sample"]),
+    "audit": ("--dims --seed --format --output", []),
+}
+
+
+def _marked(names, required):
+    return " ".join(names) + ("!" if required else "")
+
+
+def test_cli_surface_is_pinned():
+    parser = cli.build_parser()
+    [sub] = [a for a in parser._actions
+             if isinstance(a, argparse._SubParsersAction)]
+    assert list(sub.choices) == list(CLI_SURFACE)
+    for name, sp in sub.choices.items():
+        options = " ".join(_marked(a.option_strings, a.required)
+                           for a in sp._actions if a.dest != "help")
+        groups = [_marked([a.option_strings[0] for a in g._group_actions],
+                          g.required) for g in sp._mutually_exclusive_groups]
+        assert (options, groups) == CLI_SURFACE[name], name
+        assert (sp.get_default("seed"), sp.get_default("format"),
+                sp.get_default("output"), sp.get_default("sample")) == \
+            (1, "text", None, None), name
+        fmt = [a for a in sp._actions if a.dest == "format"][0]
+        assert fmt.choices == ("text", "json", "csv"), name
+    assert sub.choices["audit"].get_default("dims") == "2,4,6,8"
+
+
+_RECIPROCAL = {"ax": ["1", "-1"], "ax0": "2", "bt": "1", "bx": ["0", "1"],
+               "cx": "-1", "dt0": "1"}
+_IDENTITY3 = [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]
+
+
+@pytest.mark.parametrize("kind, doc, exc, where", [
+    ("projective", ["1"], ParseError, ": expected an object"),
+    ("projective", {"matrix": _IDENTITY3, "scale": "2"}, ParseError,
+     ": unknown keys ['scale']"),
+    ("projective", {}, ValidationError, ": matrix must be a list of rows"),
+    ("projective", {"matrix": ["1", "0", "0"]}, ValidationError,
+     ": matrix must be a list of rows"),
+    ("projective", {"matrix": [["1", "0", "0"], "0", ["0", "0", "1"]]},
+     ParseError, ".matrix[1]: expected a list"),
+    ("projective", {"matrix": []}, ValidationError,
+     ": matrix must be a list of rows"),
+    ("projective", {"matrix": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]},
+     ParseError, ".matrix[0][0]: expected a rational string"),
+    ("projective", {"matrix": [["1", "0", "0"], ["0", "1", "0"]]},
+     ValidationError, ": projective matrix must be square"),
+    ("projective", {"matrix": [["1", "1", "0"], ["1", "1", "0"],
+                               ["0", "0", "1"]]},
+     ValidationError, ": matrix is not invertible"),
+    ("reciprocal", "ax", ParseError, ": expected an object"),
+    ("reciprocal", dict(_RECIPROCAL, ex="1"), ParseError,
+     ": unknown keys ['ex']"),
+    ("reciprocal", {k: v for k, v in _RECIPROCAL.items() if k != "cx"},
+     ParseError, ".cx: expected a rational string"),
+    ("reciprocal", dict(_RECIPROCAL, ax="1"), ParseError,
+     ".ax: expected a list"),
+    ("reciprocal", dict(_RECIPROCAL, bx=["0"]), ValidationError,
+     ".bx: expected 2 entries, got 1"),
+    ("reciprocal", dict(_RECIPROCAL, ax=["1", -1]), ParseError,
+     ".ax[1]: expected a rational string"),
+    ("reciprocal", dict(_RECIPROCAL, ax0="1", bt="1", cx="1", dt0="1"),
+     ValidationError, ": constant part of the reciprocal map is singular"),
+], ids=["proj_not_object", "proj_unknown_key", "proj_no_matrix",
+        "proj_rows_not_lists", "proj_row_not_list", "proj_empty",
+        "proj_number_entry", "proj_not_square", "proj_singular",
+        "recip_not_object", "recip_unknown_key", "recip_missing_key",
+        "recip_ax_not_list", "recip_bx_wrong_length", "recip_number_entry",
+        "recip_singular"])
+def test_transform_file_readers_reject(capsys, tmp_path, pair_file, kind,
+                                       doc, exc, where):
+    path = str(tmp_path / (kind + ".json"))
+    with open(path, "w", encoding="utf-8") as fp:
+        json.dump(doc, fp)
+    with pytest.raises(exc) as info:
+        if kind == "projective":
+            load_projective(path)
+        else:
+            load_reciprocal(path, 2)
+    assert str(info.value).startswith(path + where)
+    code, out, err = run(capsys, "transform", "--pair", pair_file,
+                         "--" + kind, path)
+    assert code == 2 and out == ""
+    assert err == "error: %s\n" % info.value

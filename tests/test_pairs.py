@@ -252,6 +252,33 @@ def test_forced_pair_clears_by_the_lcm():
     assert den.total_degree() < product.total_degree()
 
 
+def _over_c(case):
+    """Metric du12 on two fields in a ring with one parameter c = x3, and
+    the flux `case` divided by c."""
+    u1, u2, c = (Poly.var(3, i) for i in (1, 2, 3))
+    flux = {"affine": (u1 + 1, u2), "symmetric": (u2 + 1, u1),
+            "quadratic": (u1 * u1, u2)}[case]
+    g0 = SkewMatrix.from_form(AltForm(2, 2, {(1, 2): Fraction(1)}))
+    return ForcedPair(AltForm(3, 2, {}), g0, [RatFunc(v, c) for v in flux],
+                      nvars=3)
+
+
+@pytest.mark.parametrize("mode", ["symbolic", "sampled"])
+@pytest.mark.parametrize("case, ok, counts", [
+    ("affine", True, (0, 0)),
+    ("symmetric", False, (2, 0)),
+    ("quadratic", False, (1, 1)),
+])
+def test_flux_over_a_parameter_content(case, ok, counts, mode):
+    # X = g.V = W/P with P = c; only the first X is affine in the fields
+    # with a skew linear part.  c does not divide its W, so a decision by
+    # divisibility must first divide P by its content in the fields
+    rep = check_compat(_over_c(case), mode=mode)
+    assert rep["all_zero"] is ok
+    assert (len(rep["first_order"]), len(rep["second_order"])) == counts
+    assert rep["mode"] == mode
+
+
 # -- the sampled check: residues modulo the prime 2^61 - 1 -------------------
 
 def _perturbed(pair, k, m, c):
