@@ -218,22 +218,22 @@ def classify_n2(sf: StructureForm) -> ClassificationResult:
         [zero, zero, a, shear],
         [zero, zero, zero, one],
     ])
-    canon = canonical_form_n2()
+    pair = canonical_n2_pair()
+    canon = form_from_pair(pair)
     pulled = pullback_linear(sf.form, element)
     log = {
         "element": element,
         "det": one / gamma,
-        "pullback_matches": pulled == canon,
-        "already_canonical": sf.form == canon,
+        "pullback_matches": pulled == canon.form,
+        "already_canonical": sf.form == canon.form,
     }
-    pair = canonical_n2_pair()
-    return ClassificationResult(2, (), form_from_pair(pair), pair, log)
+    return ClassificationResult(2, (), canon, pair, log)
 
 
 def canonical_form_n2() -> AltForm:
-    """Unit coefficients on du123, du124, du134; nothing else."""
-    one = Fraction(1)
-    return AltForm(3, 4, {(1, 2, 3): one, (1, 2, 4): one, (1, 3, 4): one})
+    """Unit coefficients on du123, du124, du134; nothing else: the form
+    of `canonical_n2_pair`."""
+    return form_from_pair(canonical_n2_pair()).form
 
 
 def _coeff_ring_size(form: AltForm):

@@ -197,16 +197,19 @@ def cmd_decompose(args) -> tuple:
     return form_from_pair(pair).form == sf.form, pair_to_dict(pair), None
 
 
-def _residual_json(res) -> dict:
-    out = {}
-    for key, val in sorted(res.items(), key=lambda kv: str(kv[0])):
-        name = ",".join(str(k) for k in key) if isinstance(key, tuple) else str(key)
-        if isinstance(val, dict):
-            out[name] = {"point": [_scalar_str(x) for x in val["point"]],
-                         "value": _scalar_str(val["value"])}
-        else:
-            out[name] = _scalar_str(val)
-    return out
+def _residual_checks(rep, names) -> list:
+    """The check of each (name, key) pair: it passes when rep[key] holds
+    no residual, and lists each residual by its comma-joined key."""
+    checks = []
+    for name, key in names:
+        out = {}
+        for k, val in sorted(rep[key].items(), key=lambda kv: str(kv[0])):
+            k = ",".join(map(str, k)) if isinstance(k, tuple) else str(k)
+            out[k] = ({"point": [_scalar_str(x) for x in val["point"]],
+                       "value": _scalar_str(val["value"])}
+                      if isinstance(val, dict) else _scalar_str(val))
+        checks.append(_check(name, not rep[key], rep["mode"], out))
+    return checks
 
 
 def cmd_verify(args) -> tuple:
@@ -215,14 +218,10 @@ def cmd_verify(args) -> tuple:
     rep = check_compat(pair, mode=mode["kind"], samples=mode["samples"],
                        seed=mode["seed"])
     n1, n2 = rep["checked"]
-    checks = [
-        _check("first-order compatibility (%d combinations)" % n1,
-               not rep["first_order"], rep["mode"],
-               _residual_json(rep["first_order"])),
-        _check("second-order compatibility (%d combinations)" % n2,
-               not rep["second_order"], rep["mode"],
-               _residual_json(rep["second_order"])),
-    ]
+    checks = _residual_checks(rep, [
+        ("first-order compatibility (%d combinations)" % n1, "first_order"),
+        ("second-order compatibility (%d combinations)" % n2, "second_order"),
+    ])
     _add_bound(mode, rep)
     return _report("verify", {"pair": args.pair}, mode, checks)
 
@@ -249,14 +248,10 @@ def cmd_congruence(args) -> tuple:
     rep = congruence_checks(m, plucker_homogeneous(pair), mode["kind"],
                             mode["samples"], mode["seed"])
     suffix = " (%d points)" % rep["points"] if "points" in rep else ""
-    checks = [
-        _check("annihilation of the line coordinates" + suffix,
-               not rep["annihilation"], rep["mode"],
-               _residual_json(rep["annihilation"])),
-        _check("quadric relations of the line coordinates" + suffix,
-               not rep["quadrics"], rep["mode"],
-               _residual_json(rep["quadrics"])),
-    ]
+    checks = _residual_checks(rep, [
+        ("annihilation of the line coordinates" + suffix, "annihilation"),
+        ("quadric relations of the line coordinates" + suffix, "quadrics"),
+    ])
 
     label = "p%d%d" if dim <= 9 else "p%d_%d"
     table = {

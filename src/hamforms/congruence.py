@@ -151,8 +151,6 @@ def congruence_checks(m: Matrix, p: dict, mode: str, samples: int,
     does not vanish, with the residual degree bound
     d = max deg p^{ab} + max(max deg p^{ab}, max degree of the entries)."""
     dim = m.nrows
-    if mode not in ("symbolic", "sampled"):
-        raise ValueError("mode must be symbolic or sampled")
 
     def bound():
         deg_p = max(c.total_degree() for c in p.values())

@@ -1,8 +1,10 @@
 """Small dense exact matrices over Q or over a rational-function field.
 
 Entries are Fraction or RatFunc; a Poly entry is held only for display
-and lifted to RatFunc before elimination.  Antisymmetric data lives in
-`skew.SkewMatrix`, the degree-2 `AltForm`, not here.
+and lifted to RatFunc before elimination.  Elimination inverts and
+zeroes entries with their own `/` and `*`: Fraction(1) / x and
+Fraction(0) * x are RatFuncs for a RatFunc x.  Antisymmetric data
+lives in `skew.SkewMatrix`, the degree-2 `AltForm`, not here.
 """
 
 from __future__ import annotations
@@ -10,7 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import SingularMatrix
-from .poly import RatFunc, as_fraction
+from .poly import as_fraction
 
 
 class Matrix:
@@ -89,7 +91,7 @@ class Matrix:
             raise ValueError("determinant of a non-square matrix")
         a, rank, sign = _eliminate(self.rows, n)
         if rank < n:
-            return _zero_like(self.rows[0][0])
+            return Fraction(0) * self.rows[0][0]
         det = Fraction(1)
         for i in range(n):
             det = det * a[i][i]
@@ -108,7 +110,7 @@ class Matrix:
         if rank < n:
             raise SingularMatrix("matrix is not invertible")
         for col in reversed(range(n)):
-            inv = _inv_scalar(a[col][col])
+            inv = Fraction(1) / a[col][col]
             a[col] = [x * inv for x in a[col]]
             for r in range(col):
                 if a[r][col]:
@@ -126,18 +128,6 @@ def _dot(r, c):
         p = x * y
         total = p if total is None else total + p
     return total if total is not None else Fraction(0)
-
-
-def _zero_like(x):
-    if isinstance(x, RatFunc):
-        return RatFunc.from_const(x.num_vars, 0)
-    return Fraction(0)
-
-
-def _inv_scalar(x):
-    if isinstance(x, RatFunc):
-        return RatFunc.from_const(x.num_vars, 1) / x
-    return Fraction(1) / Fraction(x)
 
 
 def _with_identity(rows) -> list:
@@ -169,7 +159,7 @@ def _eliminate(rows, ncols: int) -> tuple:
         if piv != rank:
             a[rank], a[piv] = a[piv], a[rank]
             sign = -sign
-        inv = _inv_scalar(a[rank][col])
+        inv = Fraction(1) / a[rank][col]
         for r in range(rank + 1, n):
             if a[r][col]:
                 f = a[r][col] * inv

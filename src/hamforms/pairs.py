@@ -10,6 +10,9 @@ plus a skew matrix `wskew` and a covector `wconst` building the affine
 covector w_j = sum_l wskew_jl u^l + wconst_j.  The flux of the
 associated first-order system solves  metric . flux = w.
 
+The two metric blocks are checked against each other and the ring, and
+their entries coerced, once (`_checked_blocks`); `build_metric`,
+`HamPair` and `ForcedPair` all build the metric from those blocks.
 Every polynomial quantity of a pair is a `Poly`: the parameter entries
 of the data, the metric entries, and the cleared flux, numerators
 adj(metric) . w over the common denominator Pf(metric), both read from
@@ -30,7 +33,7 @@ from functools import cache
 from .errors import DegenerateMetric, DimensionMismatch, NullSystemWarning
 from .errors import OddDimension
 from .forms import AltForm
-from .poly import Poly, RatFunc, exact_div, poly_gcd
+from .poly import Poly, RatFunc, exact_div, lift, poly_gcd
 from .sampling import Lcg, random_skew, random_three_form, random_vector
 from .sampling import run_check
 from .skew import SkewMatrix, pfaffian, pfaffian_adjugate
@@ -70,9 +73,10 @@ def _linear_comb(parts, const, nvars: int) -> Poly:
     return acc
 
 
-def build_metric(mcubic: AltForm, mconst: SkewMatrix, nvars: int | None = None) -> SkewMatrix:
-    """The affine metric of a pair, entries Poly:
-    metric_ij = sum_k mcubic_ijk u^k + mconst_ij."""
+def _checked_blocks(mcubic: AltForm, mconst: SkewMatrix, nvars: int | None) -> tuple:
+    """(mcubic, mconst, nvars): the two metric blocks checked against each
+    other and against the ring, every entry coerced by _data_entry, and
+    the ring size, N when nvars is None."""
     n = mconst.n
     if mcubic.degree != 3 or mcubic.dim != n:
         raise DimensionMismatch("three-form and constant part differ in size")
@@ -80,18 +84,29 @@ def build_metric(mcubic: AltForm, mconst: SkewMatrix, nvars: int | None = None) 
         nvars = n
     if nvars < n:
         raise DimensionMismatch("ring has fewer variables than the form")
+    return (mcubic.map_coeffs(lambda c: _data_entry(c, nvars, n, "three-form")),
+            mconst.map_coeffs(lambda c: _data_entry(c, nvars, n, "constant metric part")),
+            nvars)
+
+
+def _metric(mcubic: AltForm, mconst: SkewMatrix, nvars: int) -> SkewMatrix:
+    """The affine metric of checked blocks, entries Poly."""
     rows: dict = {}
     for (i, j, k), c in mcubic.comps.items():
-        c = _data_entry(c, nvars, n, "three-form")
         for (a, b, v, s) in ((i, j, k, 1), (i, k, j, -1), (j, k, i, 1)):
             rows.setdefault((a, b), []).append((v, c if s > 0 else -c))
     upper = {}
     for key in list(rows) + [k for k in mconst.upper if k not in rows]:
-        c = _data_entry(mconst.get(*key), nvars, n, "constant metric part")
-        p = _linear_comb(rows.get(key, ()), c, nvars)
+        p = _linear_comb(rows.get(key, ()), mconst.get(*key), nvars)
         if p:
             upper[key] = p
-    return SkewMatrix(n, upper)
+    return SkewMatrix(mconst.n, upper)
+
+
+def build_metric(mcubic: AltForm, mconst: SkewMatrix, nvars: int | None = None) -> SkewMatrix:
+    """The affine metric of a pair, entries Poly:
+    metric_ij = sum_k mcubic_ijk u^k + mconst_ij."""
+    return _metric(*_checked_blocks(mcubic, mconst, nvars))
 
 
 def rhs_covector(wskew: SkewMatrix, wconst, nvars: int | None = None) -> tuple:
@@ -103,11 +118,8 @@ def rhs_covector(wskew: SkewMatrix, wconst, nvars: int | None = None) -> tuple:
         nvars = n
     out = []
     for j in range(1, n + 1):
-        parts = []
-        for l in range(1, n + 1):
-            c = wskew.get(j, l)
-            if c:
-                parts.append((l, _data_entry(c, nvars, n, "skew covector part")))
+        parts = [(l, _data_entry(wskew.get(j, l), nvars, n, "skew covector part"))
+                 for l in range(1, n + 1) if wskew.get(j, l)]
         b = _data_entry(wconst[j - 1], nvars, n, "constant covector part")
         out.append(_linear_comb(parts, b, nvars))
     return tuple(out)
@@ -127,25 +139,19 @@ def _row_dot(s: SkewMatrix, i: int, vec, nvars: int) -> Poly:
     return total
 
 
-def _data_blocks(mcubic: AltForm, mconst: SkewMatrix, nvars: int) -> tuple:
-    """The two metric blocks with every entry coerced by _data_entry."""
-    n = mconst.n
-    return (mcubic.map_coeffs(lambda c: _data_entry(c, nvars, n, "three-form")),
-            mconst.map_coeffs(lambda c: _data_entry(c, nvars, n, "constant metric part")))
-
-
 class HamPair:
     """Compatible metric-flux pair in N field variables.
 
     Variables 1..N of the coefficient ring are the fields; nvars may
     exceed N when the pair lives in a ring with extra parameters.  The
     defining data mcubic, mconst, wskew, wconst are constant, each entry
-    a Fraction or a Poly in the parameters.  `metric` is derived from
-    them with Poly entries; a nonzero Pf(mconst) shows it nondegenerate,
-    and only a singular mconst costs the symbolic Pf(metric).  The flux
-    is held in cleared form, numerators adj(metric) . w over Pf(metric),
-    both read from one adjugate on first use and shared by `flux_cleared`
-    and `check_compat`; `flux` reduces it to RatFuncs for display.
+    checked and coerced once to a Fraction or a Poly in the parameters.
+    `metric` is built from the checked blocks with Poly entries; a
+    nonzero Pf(mconst) shows it nondegenerate, and only a singular
+    mconst costs the symbolic Pf(metric).  The flux is held in cleared
+    form, numerators adj(metric) . w over Pf(metric), both read from
+    one adjugate on first use and shared by `flux_cleared` and
+    `check_compat`; `flux` reduces it to RatFuncs for display.
     """
 
     __slots__ = ("N", "nvars", "mcubic", "mconst", "wskew", "wconst", "metric",
@@ -155,23 +161,17 @@ class HamPair:
         N = mconst.n
         if N % 2:
             raise OddDimension("pair needs an even number of fields")
-        if mcubic.degree != 3 or mcubic.dim != N:
-            raise DimensionMismatch("three-form does not match the field count")
+        self.mcubic, self.mconst, nvars = _checked_blocks(mcubic, mconst, nvars)
         if wskew.n != N:
             raise DimensionMismatch("skew covector part does not match the field count")
         if len(wconst) != N:
             raise DimensionMismatch("constant covector part has wrong length")
-        if nvars is None:
-            nvars = N
-        if nvars < N:
-            raise DimensionMismatch("ring has fewer variables than fields")
         self.N = N
         self.nvars = nvars
-        self.mcubic, self.mconst = _data_blocks(mcubic, mconst, nvars)
         self.wskew = wskew.map_coeffs(
             lambda c: _data_entry(c, nvars, N, "skew covector part"))
         self.wconst = tuple(_data_entry(b, nvars, N, "constant covector part") for b in wconst)
-        self.metric = build_metric(self.mcubic, self.mconst, nvars)
+        self.metric = _metric(self.mcubic, self.mconst, nvars)
         if not (pfaffian(self.mconst) or pfaffian(self.metric)):
             raise DegenerateMetric("metric pfaffian vanishes identically")
         if self.wskew.is_zero() and not any(self.wconst):
@@ -199,20 +199,16 @@ class HamPair:
             self._cleared = nums, _row_dot(self.metric, 1, col, nv)
         return self._cleared
 
+    def _key(self) -> tuple:
+        return (self.N, self.nvars, self.mcubic, self.mconst, self.wskew, self.wconst)
+
     def __eq__(self, other):
         if not isinstance(other, HamPair):
             return NotImplemented
-        return (
-            self.N == other.N
-            and self.nvars == other.nvars
-            and self.mcubic == other.mcubic
-            and self.mconst == other.mconst
-            and self.wskew == other.wskew
-            and self.wconst == other.wconst
-        )
+        return self._key() == other._key()
 
     def __hash__(self):
-        return hash((self.N, self.nvars, self.mcubic, self.mconst, self.wskew, self.wconst))
+        return hash(self._key())
 
     def __repr__(self):
         return "HamPair(N=%d, nvars=%d)" % (self.N, self.nvars)
@@ -248,20 +244,11 @@ class ForcedPair:
             raise OddDimension("pair needs an even number of fields")
         if len(flux) != N:
             raise DimensionMismatch("flux has wrong length")
-        if nvars is None:
-            nvars = N
+        self.mcubic, self.mconst, nvars = _checked_blocks(mcubic, mconst, nvars)
         self.N = N
         self.nvars = nvars
-        self.metric = build_metric(mcubic, mconst, nvars)
-        self.mcubic, self.mconst = _data_blocks(mcubic, mconst, nvars)
-        clean = []
-        for v in flux:
-            if isinstance(v, Poly):
-                v = RatFunc.from_poly(v)
-            elif not isinstance(v, RatFunc):
-                v = RatFunc.from_const(nvars, v)
-            clean.append(v)
-        self._flux = tuple(clean)
+        self.metric = _metric(self.mcubic, self.mconst, nvars)
+        self._flux = tuple(lift(v, nvars) for v in flux)
         self._cleared = None
 
     @property
@@ -320,11 +307,8 @@ def check_compat(pair, mode: str = "auto", samples: int = 20, seed: int = _DEFAU
     """
     if mode == "auto":
         mode = auto_mode(pair.N)
-    if mode not in ("symbolic", "sampled"):
-        raise ValueError("mode must be auto, symbolic or sampled")
     N, nvars = pair.N, pair.nvars
     nums, P = pair.flux_cleared()
-    W = [_row_dot(pair.metric, q, nums, nvars) for q in range(1, N + 1)]
 
     def bound():
         deg_g = max((e.total_degree() for e in pair.metric.upper.values()),
@@ -334,27 +318,28 @@ def check_compat(pair, mode: str = "auto", samples: int = 20, seed: int = _DEFAU
 
     def residuals(conv):
         fields = range(1, N + 1)
-        grad_W = [[w.diff(p) for p in fields] for w in W]
-        grad_P = [P.diff(p) for p in fields]
-        dd_W = [_hessian(grad, conv) for grad in grad_W]
-        ddP = _hessian(grad_P, conv)
-        d_W = [[conv(p) for p in grad] for grad in grad_W]
-        dP = [conv(p) for p in grad_P]
-        W_, P_ = [conv(w) for w in W], conv(P)
+        # one derivative table: row 0 is P, row q is W_q; values, field
+        # gradients and Hessians, each converted once
+        rows = [P] + [_row_dot(pair.metric, q, nums, nvars) for q in fields]
+        grads = [[f.diff(p) for p in fields] for f in rows]
+        val = [conv(f) for f in rows]
+        d = [[conv(p) for p in grad] for grad in grads]
+        dd = [_hessian(grad, conv) for grad in grads]
+        P_, dP, ddP = val[0], d[0], dd[0]
 
         @cache
         def d1(q, l):
             # numerator of (W_q / P)_{,l} over P^2; q and l are 1-based
-            return d_W[q - 1][l - 1] * P_ - W_[q - 1] * dP[l - 1]
+            return d[q][l - 1] * P_ - val[q] * dP[l - 1]
 
         @cache
         def d2(q, p, l):
             # numerator of (W_q / P)_{,pl} over P^3; all indices 1-based
             lead = (
-                dd_W[q - 1][p - 1][l - 1] * P_
-                + d_W[q - 1][p - 1] * dP[l - 1]
-                - d_W[q - 1][l - 1] * dP[p - 1]
-                - W_[q - 1] * ddP[p - 1][l - 1]
+                dd[q][p - 1][l - 1] * P_
+                + d[q][p - 1] * dP[l - 1]
+                - d[q][l - 1] * dP[p - 1]
+                - val[q] * ddP[p - 1][l - 1]
             )
             return lead * P_ - (dP[l - 1] * d1(q, p)) * 2
 

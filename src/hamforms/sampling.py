@@ -2,7 +2,10 @@
 
 A fixed 64-bit linear congruential generator (Knuth's MMIX constants)
 keeps every sampled check reproducible from a single integer seed, with
-no dependence on interpreter hashing or library versions.  `run_check`,
+no dependence on interpreter hashing or library versions.  The random
+skew matrices and three-forms of test data come from one generator,
+`_random_entries`, which spends one discarded draw before each entry
+so that a seed keeps drawing the pairs it drew before.  `run_check`,
 at the end of this module, is the one proof-or-sample policy: both
 checks, `check_compat` and `congruence_checks`, are proved through it
 or sampled at residues modulo the prime 2^61 - 1, where `_Vals.at`
@@ -12,6 +15,7 @@ reduces each polynomial at all the points at once.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations
 
 from .errors import NoResidue
 from .forms import AltForm
@@ -58,25 +62,24 @@ def random_vector(rng: Lcg, n: int, max_num: int = 5) -> tuple:
     return tuple(rng.fraction(max_num) for _ in range(n))
 
 
-def random_skew(rng: Lcg, n: int, max_num: int = 5, density: float = 1.0) -> SkewMatrix:
-    upper = {}
-    cutoff = int(density * 1000)
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            if rng.randint(0, 999) < cutoff:
-                upper[(i, j)] = rng.fraction(max_num)
-    return SkewMatrix(n, upper)
+def _random_entries(rng: Lcg, dim: int, degree: int, max_num: int) -> dict:
+    """A random rational for every increasing index tuple of the degree.
+    Each entry first spends one draw and discards it: that draw once
+    decided whether the entry was kept at all, and spending it keeps
+    every seed drawing the pairs it drew before."""
+    entries = {}
+    for idx in combinations(range(1, dim + 1), degree):
+        rng.next_u64()
+        entries[idx] = rng.fraction(max_num)
+    return entries
 
 
-def random_three_form(rng: Lcg, dim: int, max_num: int = 5, density: float = 1.0) -> AltForm:
-    comps = {}
-    cutoff = int(density * 1000)
-    for i in range(1, dim + 1):
-        for j in range(i + 1, dim + 1):
-            for k in range(j + 1, dim + 1):
-                if rng.randint(0, 999) < cutoff:
-                    comps[(i, j, k)] = rng.fraction(max_num)
-    return AltForm(3, dim, comps)
+def random_skew(rng: Lcg, n: int, max_num: int = 5) -> SkewMatrix:
+    return SkewMatrix(n, _random_entries(rng, n, 2, max_num))
+
+
+def random_three_form(rng: Lcg, dim: int, max_num: int = 5) -> AltForm:
+    return AltForm(3, dim, _random_entries(rng, dim, 3, max_num))
 
 
 # Sampled checks run in the integers modulo this Mersenne prime.
@@ -150,9 +153,6 @@ class _Vals:
     def __sub__(self, other):
         return _Vals([(a - b) % MODULUS for a, b in zip(self.v, other.v)])
 
-    def __neg__(self):
-        return _Vals([-a % MODULUS for a in self.v])
-
     def __mul__(self, other):
         if isinstance(other, _Vals):
             return _Vals([a * b % MODULUS for a, b in zip(self.v, other.v)])
@@ -181,6 +181,8 @@ def run_check(mode: str, build, bound, samples: int, seed: int) -> tuple:
     = (degree / (MODULUS - deg avoid))^samples, an exact Fraction; it is
     one of the report keys returned with the residuals, none for a proof.
     """
+    if mode not in ("symbolic", "sampled"):
+        raise ValueError("mode must be symbolic or sampled, not %r" % mode)
     if mode == "symbolic":
         return build(lambda c: c), {}
     avoid, degree = bound()

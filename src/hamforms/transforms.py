@@ -22,7 +22,7 @@ from .errors import (DegenerateImage, DegenerateMetric, DimensionMismatch,
                      SingularMatrix, ValidationError)
 from .forms import pullback_linear
 from .linalg import Matrix
-from .pairs import HamPair, _row_dot
+from .pairs import HamPair, _linear_comb, _row_dot
 from .poly import Poly, RatFunc
 
 
@@ -50,12 +50,8 @@ class ProjectiveMap:
     def row(self, i: int, nvars: int) -> Poly:
         """Row i (0-based) applied to (u, 1): a[i,l] u^l + a[i,N+1]."""
         n = self.N
-        p = Poly.const(nvars, self.a[i, n])
-        for l in range(n):
-            c = self.a[i, l]
-            if c:
-                p = p + Poly.var(nvars, l + 1) * c
-        return p
+        return _linear_comb([(l + 1, self.a[i, l]) for l in range(n)
+                             if self.a[i, l]], self.a[i, n], nvars)
 
     def denominator(self, nvars: int) -> RatFunc:
         """A(u), the last row applied to (u, 1), in a ring of size nvars."""
@@ -110,14 +106,9 @@ class ReciprocalMap:
 
     def block_matrix(self) -> Matrix:
         """Action on the coordinate space: fields fixed, last two mixed."""
-        n = self.N
-        zero, one = Fraction(0), Fraction(1)
-        rows = []
-        for i in range(n):
-            rows.append([one if k == i else zero for k in range(n + 2)])
-        rows.append(list(self.ax) + [self.ax0, self.bt])
-        rows.append(list(self.bx) + [self.cx, self.dt0])
-        return Matrix(rows)
+        fields = Matrix.identity(self.N + 2).rows[:self.N]
+        return Matrix(fields + ((*self.ax, self.ax0, self.bt),
+                                (*self.bx, self.cx, self.dt0)))
 
     def __repr__(self):
         return ("ReciprocalMap(N=%d, ax=%r, ax0=%s, bt=%s, bx=%r, cx=%s, dt0=%s)"
@@ -144,7 +135,8 @@ def apply_projective(pair: HamPair, phi: ProjectiveMap):
     route; it is a structural fact, not a check, and is not reported.
     """
     if phi.N != pair.N:
-        raise DimensionMismatch("projective map size does not match the pair")
+        raise DimensionMismatch("projective map has side %d; a pair on %d "
+                                "fields needs side %d" % (phi.N + 1, pair.N, pair.N + 1))
     block = Matrix.block_diag(phi.a_inv, Matrix([[Fraction(1)]]))
     new_pair = _image(pair, block)
     report = {
@@ -232,7 +224,8 @@ def apply_reciprocal(pair: HamPair, r: ReciprocalMap) -> HamPair:
     result raises DegenerateImage.
     """
     if r.N != pair.N:
-        raise DimensionMismatch("reciprocal map size does not match the pair")
+        raise DimensionMismatch("reciprocal map acts on %d fields; the pair "
+                                "has %d" % (r.N, pair.N))
     try:
         inv = r.block_matrix().inv()
     except SingularMatrix as exc:

@@ -1,6 +1,7 @@
 """Command line driver, exercised in process through main()."""
 
 import argparse
+import hashlib
 import json
 import os
 import subprocess
@@ -9,14 +10,14 @@ from fractions import Fraction
 
 import pytest
 
-from hamforms import (AltForm, HamPair, Lcg, ParseError, SkewMatrix,
-                      ValidationError, eta_matrix, form_from_pair,
-                      omega_to_dict, pair_to_dict)
+from hamforms import (AltForm, ForcedPair, HamPair, Lcg, ParseError,
+                      RatFunc, SkewMatrix, ValidationError, eta_matrix,
+                      form_from_pair, omega_to_dict, pair_to_dict)
 from hamforms import cli
 from hamforms.cli import main
 from hamforms.serialize import load_projective, load_reciprocal
 
-from helpers import count_pair_pfaffians
+from helpers import count_pair_pfaffians, generic_pair_n2
 
 N2_PAIR = {
     "N": 2,
@@ -62,6 +63,38 @@ def test_verify_json_report(capsys, pair_file):
     assert rep["command"] == "verify"
     assert rep["mode"]["seed"] == 1
     assert all(c["status"] == "pass" for c in rep["checks"])
+
+
+def _off_by_u2(pair):
+    """A ForcedPair whose flux V^1 is off by the field u^2."""
+    flux = list(pair.flux)
+    flux[0] = flux[0] + RatFunc.var(pair.nvars, 2)
+    return ForcedPair(pair.mcubic, pair.mconst, tuple(flux), nvars=pair.nvars)
+
+
+# SHA-256 of the JSON `verify` report on those pairs, recorded before the
+# residual rendering moved into one helper: polynomial residual strings
+# in symbolic mode, a first failing point and residue per key sampled
+@pytest.mark.parametrize("build, extra, first, digest", [
+    (generic_pair_n2, (), "-2*u4^3",
+     "e64a21cccb4607f6459257e506865d4d2b051bda2867f16c2a9e465cfc090137"),
+    (lambda: HamPair.random(Lcg(1), 4), ("--sample", "3"), None,
+     "c8acbd9a3198b3c3a88da6968dffcb618276d3cdc9e07b25665c01654ee72f8b"),
+], ids=["symbolic_n2", "sampled_n4"])
+def test_failing_verify_renders_its_residuals(capsys, monkeypatch, build,
+                                              extra, first, digest):
+    monkeypatch.setattr(cli, "load_pair", lambda path: _off_by_u2(build()))
+    code, out, err = run(capsys, "verify", "--pair", "forced.json",
+                         "--format", "json", *extra)
+    assert code == 1 and not err
+    rep = json.loads(out)
+    assert rep["ok"] is False and rep["checks"][0]["status"] == "fail"
+    residual = rep["checks"][0]["residuals"]["2,2"]
+    if first is None:
+        assert set(residual) == {"point", "value"}
+    else:
+        assert residual == first
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_congruence_rank_and_table(capsys, pair_file):
@@ -226,6 +259,16 @@ def test_transform_projective(capsys, tmp_path, pair_file):
     assert code == 0
     rep = json.loads(out)
     assert rep["ok"] is True and "denominator" in rep
+
+
+def test_projective_map_of_the_wrong_size_names_both_sizes(capsys, tmp_path,
+                                                           pair_file):
+    mpath = tmp_path / "proj.json"
+    mpath.write_text(json.dumps({"matrix": [["1", "0"], ["0", "1"]]}))
+    code, out, err = run(capsys, "transform", "--pair", pair_file,
+                         "--projective", str(mpath))
+    assert code == 2 and out == ""
+    assert "side 2" in err and "2 fields needs side 3" in err
 
 
 def test_transform_samples_only_the_reciprocal_check(capsys, tmp_path,

@@ -383,6 +383,13 @@ def test_homogeneous_needs_a_free_homogenizer_slot():
     assert not rep["annihilation"] and not rep["quadrics"]
 
 
+def test_congruence_checks_refuse_an_unknown_mode():
+    pair = HamPair.random(Lcg(1), 2)
+    m = congruence_matrix(form_from_pair(pair))
+    with pytest.raises(ValueError):
+        congruence_checks(m, plucker_homogeneous(pair), "bogus", 5, 1)
+
+
 def test_coordinates_reuse_the_cached_adjugate(monkeypatch):
     import hamforms.congruence as congruence_mod
     import hamforms.pairs as pairs_mod

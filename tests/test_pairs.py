@@ -32,6 +32,7 @@ from hamforms import (
     pfaffian,
     rhs_covector,
 )
+from hamforms.pairs import auto_mode
 from hamforms.poly import divides
 from hamforms.sampling import _random_residue, run_check
 
@@ -250,6 +251,38 @@ def test_forced_pair_clears_by_the_lcm():
         product = product * v.den
     assert divides(den, product)
     assert den.total_degree() < product.total_degree()
+
+
+def _forced_n2(flux):
+    """A ForcedPair on the constant metric du12 of two fields."""
+    g0 = SkewMatrix(2, {(1, 2): Fraction(2)})
+    return ForcedPair(AltForm(3, 2, {}), g0, flux)
+
+
+@pytest.mark.parametrize("mode", ["symbolic", "sampled"])
+def test_forced_pair_lifts_poly_and_rational_flux(mode):
+    u1, u2 = Poly.var(2, 1), Poly.var(2, 2)
+    for flux in ((u1 * u2 + 1, Fraction(3, 2)), (u2 + 1, 5)):
+        lifted = tuple(RatFunc.from_poly(v) if isinstance(v, Poly)
+                       else RatFunc.from_const(2, v) for v in flux)
+        forced = _forced_n2(flux)
+        assert forced.flux == lifted
+        assert (check_compat(forced, mode=mode)
+                == check_compat(_forced_n2(lifted), mode=mode))
+
+
+def test_forced_pair_refuses_flux_from_another_ring():
+    with pytest.raises(ValueError):
+        _forced_n2((Poly.var(3, 1), Fraction(1)))
+
+
+def test_check_mode_is_checked_and_auto_follows_the_field_count():
+    for n in (2, 6):
+        pair = HamPair.random(Lcg(1), n)
+        assert check_compat(pair) == check_compat(pair, mode=auto_mode(n))
+        assert check_compat(pair)["mode"] == auto_mode(n)
+        with pytest.raises(ValueError):
+            check_compat(pair, mode="bogus")
 
 
 def _over_c(case):

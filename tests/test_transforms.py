@@ -7,6 +7,7 @@ import pytest
 from hamforms import (
     AltForm,
     DegenerateImage,
+    DimensionMismatch,
     HamPair,
     Lcg,
     Matrix,
@@ -204,3 +205,11 @@ def test_reciprocal_rejects_singular_block():
     with pytest.raises(ValidationError):
         ReciprocalMap(2, [one, one], one, one, [Fraction(0), Fraction(0)],
                       one, one)
+
+
+def test_maps_of_the_wrong_size_name_both_sizes():
+    pair = canonical_n2_pair()
+    with pytest.raises(DimensionMismatch, match="side 4; a pair on 2 fields needs side 3"):
+        apply_projective(pair, ProjectiveMap.identity(3))
+    with pytest.raises(DimensionMismatch, match="acts on 4 fields; the pair has 2"):
+        apply_reciprocal(pair, ReciprocalMap.identity(4))
