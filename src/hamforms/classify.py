@@ -1,11 +1,12 @@
-"""Canonical forms and orbit invariants for pairs with two or four fields.
+"""Canonical forms for pairs with two or four fields.
 
 The two-field case is a single orbit once the metric slot is nonzero;
 the normalizing matrix is written down explicitly and logged.  The
-four-field case is classified by the pair of invariants (eta-trace,
-quadric value) of the splitting of the right-hand-side matrix along the
-standard symplectic form, and the canonical representative is emitted
-directly from those invariants.
+four-field case reads the pair (eta-trace, quadric value) from the
+splitting of the right-hand-side matrix along the standard symplectic
+form, in standard position, and emits the canonical representative
+directly from those values.  They are not orbit invariants: a GL(6)
+map can move them (ROADMAP direction 3 plans an orbit decision).
 """
 
 from __future__ import annotations
@@ -164,26 +165,23 @@ def system_coefficients(pair) -> list:
     return rows
 
 
+def format_terms(terms) -> str:
+    """The linear sum of (coefficient text, label) pairs: a unit
+    coefficient is dropped, -1 leaves its sign, a coefficient holding a
+    space is parenthesised, and the empty sum is 0."""
+    parts = []
+    for c, label in terms:
+        c = "(%s)" % c if " " in c else c
+        parts.append({"1": "", "-1": "-"}.get(c, c + "*") + label)
+    return " + ".join(parts).replace("+ -", "- ") if parts else "0"
+
+
 def format_system(pair, names=None) -> list:
     """Human-readable rendering, one string per evolution equation."""
     out = []
     for i, row in enumerate(system_coefficients(pair), start=1):
-        parts = []
-        for j in sorted(row):
-            c = row[j]
-            base = "u%d_x" % j
-            if c == 1:
-                term = base
-            elif c == -1:
-                term = "-" + base
-            else:
-                cs = c.format(names) if hasattr(c, "format") else str(c)
-                if " " in cs:
-                    cs = "(%s)" % cs
-                term = "%s*%s" % (cs, base)
-            parts.append(term)
-        rhs = " + ".join(parts).replace("+ -", "- ") if parts else "0"
-        out.append("u%d_t = %s" % (i, rhs))
+        terms = [(row[j].format(names), "u%d_x" % j) for j in sorted(row)]
+        out.append("u%d_t = %s" % (i, format_terms(terms)))
     return out
 
 
@@ -246,14 +244,16 @@ def _coeff_ring_size(form: AltForm):
 
 
 def classify_n4(sf: StructureForm) -> ClassificationResult:
-    """Invariant-based classification of a four-field structure form.
+    """Canonical pair of a four-field structure form in standard position.
 
     The cubic-with-homogenizer block must already sit in the standard
     position eta ^ du5 (reducing a generic block to it is out of
-    scope); otherwise WrongTBlock.  The invariants are the eta-trace of
-    the right-hand-side matrix and the quadric value of its trace-free
-    part; the canonical representative realizes them with a single
-    du1^du3 slot and a unit du2^du4 slot, and drops the constant shift.
+    scope); otherwise WrongTBlock.  The reported values are the
+    eta-trace of the right-hand-side matrix and the quadric value of its
+    trace-free part, read from this split; the canonical representative
+    realizes them with a single du1^du3 slot and a unit du2^du4 slot,
+    and drops the constant shift.  A GL(6) map that keeps the standard
+    block can move both values (ROADMAP direction 3 decides orbits).
     """
     if sf.N != 4:
         raise DimensionMismatch("four-field classification needs N=4")

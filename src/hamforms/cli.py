@@ -47,6 +47,7 @@ import io
 import json
 import math
 import sys
+import warnings
 from collections import namedtuple
 from fractions import Fraction
 
@@ -55,7 +56,8 @@ from .pairs import auto_mode, check_compat
 from .bridge import form_from_pair, pair_from_form, dimension_audit
 from .congruence import (pair_columns, plucker_homogeneous,
                          congruence_rank, congruence_checks)
-from .classify import classify_n2, classify_n4, stabilizer_audit, format_system
+from .classify import classify_n2, classify_n4, stabilizer_audit
+from .classify import format_system, format_terms
 from .transforms import apply_projective, apply_xt_exchange, apply_reciprocal
 from .serialize import (rational_to_str, dump_json, load_pair, pair_to_dict,
                         parse_omega_file, omega_to_dict, load_projective,
@@ -230,10 +232,9 @@ def _equation_strings(table) -> list:
     out = []
     for row, entries in zip(table["rows"], table["entries"]):
         # entries are rationals: a pair file holds constant blocks only
-        parts = [{"1": "", "-1": "-"}.get(s, s + "*") + label
-                 for s, label in zip(entries, table["columns"]) if s != "0"]
-        eq = " + ".join(parts).replace("+ -", "- ") if parts else "0"
-        out.append("%s: %s = 0" % (row, eq))
+        terms = [(s, label) for s, label in zip(entries, table["columns"])
+                 if s != "0"]
+        out.append("%s: %s = 0" % (row, format_terms(terms)))
     return out
 
 
@@ -454,11 +455,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    try:
-        ok, payload, table = _COMMANDS[args.command].run(args)
-        _emit(args, payload, table)
-    except (HamformsError, OSError) as exc:
-        print("error: %s" % exc, file=sys.stderr)
+    # each distinct warning prints once, with no source path, before any error
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            ok, payload, table = _COMMANDS[args.command].run(args)
+            _emit(args, payload, table)
+            error = None
+        except (HamformsError, OSError) as exc:
+            error = exc
+    for message in dict.fromkeys(str(w.message) for w in caught):
+        print("warning: %s" % message, file=sys.stderr)
+    if error is not None:
+        print("error: %s" % error, file=sys.stderr)
         return 2
     return 0 if ok else 1
 

@@ -11,14 +11,15 @@ covector w_j = sum_l wskew_jl u^l + wconst_j.  The flux of the
 associated first-order system solves  metric . flux = w.
 
 The two metric blocks are checked against each other and the ring, and
-their entries coerced, once (`_checked_blocks`); `build_metric`,
-`HamPair` and `ForcedPair` all build the metric from those blocks.
+their entries coerced, once (`_checked_blocks`).  `build_metric` and
+`_Pair`, the metric half shared by `HamPair` and `ForcedPair`, build
+the metric from those blocks; the two classes differ in the covector half.
 Every polynomial quantity of a pair is a `Poly`: the parameter entries
 of the data, the metric entries, and the cleared flux, numerators
 adj(metric) . w over the common denominator Pf(metric), both read from
 one adjugate.  Construction only shows Pf(metric) is not identically 0:
 by Pf(mconst), its value at the origin of the fields, unless that is 0.
-The flux is reduced to `RatFunc`s only in `HamPair.flux`, for display.
+The flux is reduced to `RatFunc`s only in `_Pair.flux`, for display.
 Pairs built this way satisfy the compatibility identities checked by
 `check_compat`; the check exists to demonstrate that and to expose
 failures for hand-edited fluxes.
@@ -33,7 +34,7 @@ from functools import cache
 from .errors import DegenerateMetric, DimensionMismatch, NullSystemWarning
 from .errors import OddDimension
 from .forms import AltForm
-from .poly import Poly, RatFunc, exact_div, lift, poly_gcd
+from .poly import Poly, RatFunc, as_fraction, exact_div, lift, poly_gcd
 from .sampling import Lcg, random_skew, random_three_form, random_vector
 from .sampling import run_check
 from .skew import SkewMatrix, pfaffian, pfaffian_adjugate
@@ -45,10 +46,8 @@ def _data_entry(c, nvars: int, nfields: int, what: str):
     """Coerce a defining coefficient to a Fraction, or to a Poly in the
     ring's parameter variables (never the fields).  A polynomial RatFunc
     is accepted here, at the input edge, and nowhere further in."""
-    if isinstance(c, int):
-        return Fraction(c)
-    if isinstance(c, Fraction):
-        return c
+    if isinstance(c, (int, Fraction)):
+        return as_fraction(c)
     if isinstance(c, RatFunc):
         if not c.is_polynomial():
             raise ValueError("%s entries must be polynomial" % what)
@@ -139,7 +138,30 @@ def _row_dot(s: SkewMatrix, i: int, vec, nvars: int) -> Poly:
     return total
 
 
-class HamPair:
+class _Pair:
+    """The metric half both pair classes share: N, nvars, the checked
+    blocks mcubic and mconst, the metric, and the caches behind `flux`
+    and `flux_cleared`, which each subclass defines for its covector half."""
+
+    __slots__ = ("N", "nvars", "mcubic", "mconst", "metric", "_cleared", "_flux")
+
+    def __init__(self, mcubic: AltForm, mconst: SkewMatrix, nvars):
+        if mconst.n % 2:
+            raise OddDimension("pair needs an even number of fields")
+        self.mcubic, self.mconst, self.nvars = _checked_blocks(mcubic, mconst, nvars)
+        self.N = mconst.n
+        self.metric = _metric(self.mcubic, self.mconst, self.nvars)
+        self._cleared = self._flux = None
+
+    @property
+    def flux(self) -> tuple:
+        """The flux as reduced RatFuncs: the display form."""
+        if self._flux is None:
+            self._flux = build_flux(*self.flux_cleared())
+        return self._flux
+
+
+class HamPair(_Pair):
     """Compatible metric-flux pair in N field variables.
 
     Variables 1..N of the coefficient ring are the fields; nvars may
@@ -154,39 +176,24 @@ class HamPair:
     `check_compat`; `flux` reduces it to RatFuncs for display.
     """
 
-    __slots__ = ("N", "nvars", "mcubic", "mconst", "wskew", "wconst", "metric",
-                 "_cleared", "_flux")
+    __slots__ = ("wskew", "wconst")
 
     def __init__(self, mcubic: AltForm, mconst: SkewMatrix, wskew: SkewMatrix, wconst, nvars=None):
-        N = mconst.n
-        if N % 2:
-            raise OddDimension("pair needs an even number of fields")
-        self.mcubic, self.mconst, nvars = _checked_blocks(mcubic, mconst, nvars)
+        super().__init__(mcubic, mconst, nvars)
+        N, nvars = self.N, self.nvars
         if wskew.n != N:
             raise DimensionMismatch("skew covector part does not match the field count")
         if len(wconst) != N:
             raise DimensionMismatch("constant covector part has wrong length")
-        self.N = N
-        self.nvars = nvars
         self.wskew = wskew.map_coeffs(
             lambda c: _data_entry(c, nvars, N, "skew covector part"))
         self.wconst = tuple(_data_entry(b, nvars, N, "constant covector part") for b in wconst)
-        self.metric = _metric(self.mcubic, self.mconst, nvars)
         if not (pfaffian(self.mconst) or pfaffian(self.metric)):
             raise DegenerateMetric("metric pfaffian vanishes identically")
         if self.wskew.is_zero() and not any(self.wconst):
             warnings.warn(
                 "covector data vanishes: the system is trivial", NullSystemWarning
             )
-        self._cleared = None
-        self._flux = None
-
-    @property
-    def flux(self) -> tuple:
-        """The flux as reduced RatFuncs: the display form."""
-        if self._flux is None:
-            self._flux = build_flux(*self.flux_cleared())
-        return self._flux
 
     def flux_cleared(self) -> tuple:
         """Flux numerators adj . w over Pf(metric) = (metric . adj)_11,
@@ -228,7 +235,7 @@ class HamPair:
             return cls(mcubic, mconst, wskew, wconst, nvars=nvars)
 
 
-class ForcedPair:
+class ForcedPair(_Pair):
     """Metric with a hand-supplied flux, for exercising failure paths.
 
     Skips the linear-algebra solve; `check_compat` treats it like any
@@ -236,24 +243,13 @@ class ForcedPair:
     of construction errors.
     """
 
-    __slots__ = ("N", "nvars", "mcubic", "mconst", "metric", "_flux", "_cleared")
+    __slots__ = ()
 
     def __init__(self, mcubic: AltForm, mconst: SkewMatrix, flux, nvars=None):
-        N = mconst.n
-        if N % 2:
-            raise OddDimension("pair needs an even number of fields")
-        if len(flux) != N:
+        if len(flux) != mconst.n:
             raise DimensionMismatch("flux has wrong length")
-        self.mcubic, self.mconst, nvars = _checked_blocks(mcubic, mconst, nvars)
-        self.N = N
-        self.nvars = nvars
-        self.metric = _metric(self.mcubic, self.mconst, nvars)
-        self._flux = tuple(lift(v, nvars) for v in flux)
-        self._cleared = None
-
-    @property
-    def flux(self) -> tuple:
-        return self._flux
+        super().__init__(mcubic, mconst, nvars)
+        self._flux = tuple(lift(v, self.nvars) for v in flux)
 
     def flux_cleared(self) -> tuple:
         """Flux numerators over the lcm of the denominators; computed once."""

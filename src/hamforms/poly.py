@@ -549,14 +549,8 @@ class RatFunc:
     # -- coercion ------------------------------------------------------
 
     def _coerce(self, other):
-        if isinstance(other, RatFunc):
-            if other.num_vars != self.num_vars:
-                raise ValueError("rational functions from different rings")
-            return other
-        if isinstance(other, Poly):
-            return RatFunc(other)
-        if isinstance(other, (int, Fraction)):
-            return RatFunc.from_const(self.num_vars, other)
+        if isinstance(other, (RatFunc, Poly, int, Fraction)):
+            return lift(other, self.num_vars)
         return None
 
     # -- field operations ----------------------------------------------
@@ -629,11 +623,11 @@ class RatFunc:
         return RatFunc(self.num ** k, self.den ** k)
 
     def __eq__(self, other):
-        o = self._coerce(other) if not isinstance(other, RatFunc) else other
+        if isinstance(other, (Poly, RatFunc)) and other.num_vars != self.num_vars:
+            return False
+        o = self._coerce(other)
         if o is None:
             return NotImplemented
-        if isinstance(o, RatFunc) and o.num_vars != self.num_vars:
-            return False
         # stored forms are canonical
         return self.num == o.num and self.den == o.den
 
@@ -656,16 +650,9 @@ class RatFunc:
 
     def compose(self, values) -> "RatFunc":
         """Substitute ring elements for all variables."""
-        n = self.num.compose(values)
-        d = self.den.compose(values)
-        if isinstance(n, (int, Fraction)):
-            n = RatFunc.from_const(values[0].num_vars, n) if values else n
-        if isinstance(d, (int, Fraction)):
-            d = RatFunc.from_const(values[0].num_vars, d) if values else d
-        if isinstance(n, Poly):
-            n = RatFunc(n)
-        if isinstance(d, Poly):
-            d = RatFunc(d)
+        n, d = self.num.compose(values), self.den.compose(values)
+        if values:
+            n, d = lift(n, values[0].num_vars), lift(d, values[0].num_vars)
         return n / d
 
     # -- presentation ----------------------------------------------------
@@ -684,12 +671,8 @@ class RatFunc:
 
 def lift(x, num_vars: int) -> RatFunc:
     """Lift int/Fraction/Poly/RatFunc to a RatFunc in the given ring."""
-    if isinstance(x, RatFunc):
+    if isinstance(x, (Poly, RatFunc)):
         if x.num_vars != num_vars:
-            raise ValueError("rational function from a different ring")
-        return x
-    if isinstance(x, Poly):
-        if x.num_vars != num_vars:
-            raise ValueError("polynomial from a different ring")
-        return RatFunc(x)
+            raise ValueError("%s from a different ring" % type(x).__name__)
+        return x if isinstance(x, RatFunc) else RatFunc(x)
     return RatFunc.from_const(num_vars, as_fraction(x))

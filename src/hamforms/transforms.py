@@ -8,9 +8,10 @@ coordinate; changes of the independent variables mix the last two
 coordinates with the fields.  The pullback route keeps every output in
 the constant-tensor shape automatically, so form invariance holds by
 construction and the interesting verification is the conformal law for
-the metric.  The x-t exchange, the reciprocal map swapping the last two
-coordinates, is done as the cheaper equivalent swap of the pair's
-blocks; the tests check it against that pullback.
+the metric, read from the map's rows applied to (u, 1), `affine_rows`.
+The x-t exchange, the reciprocal map swapping the last two coordinates,
+is done as the cheaper equivalent swap of the pair's blocks; the tests
+check it against that pullback.
 """
 
 from __future__ import annotations
@@ -19,10 +20,10 @@ from fractions import Fraction
 
 from .bridge import StructureForm, form_from_pair, pair_from_form
 from .errors import (DegenerateImage, DegenerateMetric, DimensionMismatch,
-                     SingularMatrix, ValidationError)
+                     ValidationError)
 from .forms import pullback_linear
 from .linalg import Matrix
-from .pairs import HamPair, _linear_comb, _row_dot
+from .pairs import HamPair
 from .poly import Poly, RatFunc
 
 
@@ -47,21 +48,20 @@ class ProjectiveMap:
     def identity(cls, N: int) -> "ProjectiveMap":
         return cls(Matrix.identity(N + 1))
 
-    def row(self, i: int, nvars: int) -> Poly:
-        """Row i (0-based) applied to (u, 1): a[i,l] u^l + a[i,N+1]."""
-        n = self.N
-        return _linear_comb([(l + 1, self.a[i, l]) for l in range(n)
-                             if self.a[i, l]], self.a[i, n], nvars)
+    def affine_rows(self, nvars: int) -> tuple:
+        """All N+1 rows applied to (u, 1): a[i,l] u^l + a[i,N+1] as Polys
+        in a ring of size nvars, the last one A(u)."""
+        u = [Poly.var(nvars, l) for l in range(1, self.N + 1)]
+        return self.a.apply(u + [Poly.one(nvars)])
 
     def denominator(self, nvars: int) -> RatFunc:
         """A(u), the last row applied to (u, 1), in a ring of size nvars."""
-        return RatFunc(self.row(self.N, nvars))
+        return RatFunc(self.affine_rows(nvars)[-1])
 
     def components(self, nvars: int) -> list:
         """The N image components as rational functions of the fields."""
-        den = self.denominator(nvars)
-        return [RatFunc(self.row(i, nvars)) / den
-                for i in range(self.N)]
+        *nums, den = map(RatFunc, self.affine_rows(nvars))
+        return [v / den for v in nums]
 
     def __repr__(self):
         return "ProjectiveMap(%r)" % (self.a,)
@@ -159,8 +159,7 @@ def conformal_check(pair: HamPair, new_pair: HamPair, phi: ProjectiveMap) -> boo
     needs no rational-function reduction.
     """
     n, nv = pair.N, pair.nvars
-    den = phi.row(n, nv)
-    nums = [phi.row(i, nv) for i in range(n)]
+    *nums, den = phi.affine_rows(nv)
 
     def substituted(f):
         # A * (f composed with the point map); metric entries are affine
@@ -204,13 +203,12 @@ def _exchange_metric_identity(pair: HamPair, new_pair: HamPair) -> bool:
     # gbar_{ij} evaluated at ubar = V equals g_{is} dV^s/du^j.  At N = 2
     # both metrics and P = Pf(g) are free of the fields, so with V = n / P
     # this is gbar_{ij} P = g_{is} dn^s/du^j
-    n, nv = pair.N, pair.nvars
+    n, g = pair.N, pair.metric.to_matrix()
     nums, P = pair.flux_cleared()
     for j in range(1, n + 1):
-        dn = [v.diff(j) for v in nums]
+        g_dn = g.apply([v.diff(j) for v in nums])
         for i in range(1, n + 1):
-            if i != j and new_pair.metric.get(i, j) * P != _row_dot(
-                    pair.metric, i, dn, nv):
+            if i != j and new_pair.metric.get(i, j) * P != g_dn[i - 1]:
                 return False
     return True
 
@@ -226,8 +224,6 @@ def apply_reciprocal(pair: HamPair, r: ReciprocalMap) -> HamPair:
     if r.N != pair.N:
         raise DimensionMismatch("reciprocal map acts on %d fields; the pair "
                                 "has %d" % (r.N, pair.N))
-    try:
-        inv = r.block_matrix().inv()
-    except SingularMatrix as exc:
-        raise ValidationError("reciprocal block is singular") from exc
-    return _image(pair, inv)
+    # the block is the identity on the fields, so its determinant is
+    # ax0 dt0 - bt cx, which ReciprocalMap already checks is nonzero
+    return _image(pair, r.block_matrix().inv())

@@ -38,6 +38,7 @@ from hamforms import (
 )
 from hamforms.classify import (_embed5, _first_order_preserves, _matrix5,
                                eta_gram, sp4_basis, t4_form)
+from hamforms.classify import format_terms
 from hamforms.linalg import rank_and_left_nullvector
 from hamforms.sampling import random_skew
 
@@ -381,3 +382,26 @@ def test_hitchin_sign_survives_the_transforms():
         for image, det in images:
             assert hitchin_lambda(form_from_pair(image).form) * det ** 2 == lam
     assert signs == {-1, 1}
+
+
+@pytest.mark.parametrize("terms, text", [
+    ([("1", "x"), ("-1", "y")], "x - y"),
+    ([("u5 + 1", "x"), ("-2", "y"), ("3/2", "z")], "(u5 + 1)*x - 2*y + 3/2*z"),
+    ([("-u5", "x"), ("1", "y")], "-u5*x + y"),
+    ([], "0"),
+])
+def test_format_terms(terms, text):
+    assert format_terms(terms) == text
+
+
+def test_standard_position_values_move_within_one_orbit():
+    # one diagonal GL(6) map keeps the standard block eta ^ du5 and takes
+    # the form of canonical_n4_pair(0, 1) to that of canonical_n4_pair(0, 4),
+    # so values read in standard position are no orbit invariants
+    d = [Fraction(2), Fraction(1, 2), 1, 1, 1, 2]
+    m = Matrix([[Fraction(d[i]) if i == k else Fraction(0) for k in range(6)]
+                for i in range(6)])
+    src = form_from_pair(canonical_n4_pair(0, 1)).form
+    dst = form_from_pair(canonical_n4_pair(0, 4)).form
+    assert src != dst
+    assert pullback_linear(src, m) == dst

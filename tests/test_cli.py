@@ -701,3 +701,33 @@ def test_transform_file_readers_reject(capsys, tmp_path, pair_file, kind,
                          "--" + kind, path)
     assert code == 2 and out == ""
     assert err == "error: %s\n" % info.value
+
+
+@pytest.fixture
+def null_pair_file(tmp_path):
+    # g0 = du1^du2 and nothing else: a pair whose system is trivial
+    path = tmp_path / "null.json"
+    path.write_text(json.dumps(dict(N2_PAIR, A={"degree": 2, "dim": 2,
+                                                "terms": []}, B=["0", "0"])))
+    return str(path)
+
+
+NULL_WARNING = "warning: covector data vanishes: the system is trivial\n"
+
+
+@pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+def test_warnings_print_once_without_a_source_path(capsys, null_pair_file,
+                                                    fmt):
+    code, out, err = run(capsys, "verify", "--pair", null_pair_file,
+                         "--format", fmt)
+    assert (code, err) == (0, NULL_WARNING)
+    # compose builds the pair twice, once more from its own form
+    code, out, err = run(capsys, "compose", "--pair", null_pair_file,
+                         "--format", fmt)
+    assert (code, err) == (0, NULL_WARNING)
+
+
+def test_warnings_print_before_the_error(capsys, null_pair_file):
+    code, out, err = run(capsys, "transform", "--pair", null_pair_file, "--xt")
+    assert code == 2 and out == ""
+    assert err == NULL_WARNING + "error: exchanged metric is degenerate\n"

@@ -32,8 +32,9 @@ from hamforms import (
     pfaffian,
     rhs_covector,
 )
+from hamforms import DimensionMismatch
 from hamforms.pairs import auto_mode
-from hamforms.poly import divides
+from hamforms.poly import divides, lift
 from hamforms.sampling import _random_residue, run_check
 
 from helpers import (P61, count_pair_pfaffians, generic_pair_n2,
@@ -730,3 +731,32 @@ def test_check_compat_matches_the_oracle():
             reports += 1
             failing += not rep["all_zero"]
     assert reports == 60 and 0 < failing < reports
+
+
+def test_both_pair_classes_share_the_metric_half():
+    pair = generic_pair_n4()
+    flux = (pair.flux[0], Poly.var(pair.nvars, 2), Fraction(1, 3), 2)
+    forced = ForcedPair(pair.mcubic, pair.mconst, flux, nvars=pair.nvars)
+    assert (forced.N, forced.nvars) == (pair.N, pair.nvars)
+    assert forced.metric == pair.metric
+    lifted = tuple(lift(v, pair.nvars) for v in flux)
+    assert forced.flux == lifted
+    assert forced.flux is forced.flux
+    # a ForcedPair is no HamPair, so HamPair equality never matches it
+    assert not isinstance(forced, HamPair) and forced != pair
+    with pytest.raises(DimensionMismatch):
+        ForcedPair(pair.mcubic, pair.mconst, flux[:3], nvars=pair.nvars)
+
+
+def test_both_pair_classes_refuse_an_odd_field_count():
+    cubic, const = AltForm(3, 3), SkewMatrix(3, {(1, 2): Fraction(1)})
+    with pytest.raises(OddDimension):
+        HamPair(cubic, const, SkewMatrix.zero(3), (1, 0, 0))
+    with pytest.raises(OddDimension):
+        ForcedPair(cubic, const, (1, 0, 0))
+
+
+def test_each_pair_class_defines_its_own_flux_cleared():
+    # the bench wraps both through the class __dict__
+    assert "flux_cleared" in vars(HamPair)
+    assert "flux_cleared" in vars(ForcedPair)

@@ -209,3 +209,15 @@ def test_ratfunc_format():
     f = RatFunc(Poly.var(2, 1), Poly.var(2, 2))
     assert "u1" in f.format() and "u2" in f.format()
     assert RatFunc.from_const(2, Fraction(-3, 2)).format() == "-3/2"
+
+
+@pytest.mark.parametrize("other", [Poly.var(3, 1), RatFunc.var(3, 1),
+                                   Poly.one(3), RatFunc.from_const(3, 0)])
+def test_ratfunc_from_another_ring_is_unequal_and_refused(other):
+    f = RatFunc.var(2, 1)
+    for x in (f, RatFunc.from_const(2, 0), RatFunc.from_const(2, 1)):
+        assert (x == other) is False
+        assert x != other
+        for op in ("__add__", "__sub__", "__mul__", "__truediv__"):
+            with pytest.raises(ValueError):
+                getattr(x, op)(other)

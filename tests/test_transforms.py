@@ -3,6 +3,7 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hamforms import (
     AltForm,
@@ -213,3 +214,45 @@ def test_maps_of_the_wrong_size_name_both_sizes():
         apply_projective(pair, ProjectiveMap.identity(3))
     with pytest.raises(DimensionMismatch, match="acts on 4 fields; the pair has 2"):
         apply_reciprocal(pair, ReciprocalMap.identity(4))
+
+
+_rationals = st.fractions(min_value=-4, max_value=4, max_denominator=5)
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.sampled_from([2, 4]), c=st.lists(_rationals, min_size=12,
+                                             max_size=12),
+       singular=st.booleans())
+def test_reciprocal_block_inverts_exactly_when_the_constant_part_does(
+        n, c, singular):
+    ax, bx = c[:n], c[6:6 + n]
+    ax0, bt, cx, dt0 = c[4], c[5], c[10], c[11]
+    if singular:
+        # force ax0 dt0 - bt cx = 0
+        if ax0:
+            dt0 = bt * cx / ax0
+        else:
+            cx = Fraction(0)
+    if ax0 * dt0 - bt * cx == 0:
+        with pytest.raises(ValidationError):
+            ReciprocalMap(n, ax, ax0, bt, bx, cx, dt0)
+        return
+    block = ReciprocalMap(n, ax, ax0, bt, bx, cx, dt0).block_matrix()
+    assert block @ block.inv() == Matrix.identity(n + 2)
+
+
+def test_affine_rows_are_the_rows_applied_to_u_and_one():
+    rng = Lcg(90911)
+    for n in (2, 4):
+        nv = n + 1  # one parameter past the fields
+        phi = ProjectiveMap(random_invertible(rng, n + 1))
+        rows = phi.affine_rows(nv)
+        assert len(rows) == n + 1
+        assert rows[-1] == phi.denominator(nv).num
+        for i, row in enumerate(rows):
+            expect = Poly.const(nv, phi.a[i, n])
+            for l in range(n):
+                expect = expect + Poly.var(nv, l + 1) * phi.a[i, l]
+            assert row == expect
+        assert [c * phi.denominator(nv) for c in phi.components(nv)] == [
+            rows[i] for i in range(n)]
