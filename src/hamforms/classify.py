@@ -19,7 +19,7 @@ from .errors import (DegenerateMetric, DimensionMismatch, NotInThetaEta,
 from .forms import AltForm, perm_sign, pullback_linear, wedge
 from .linalg import Matrix
 from .pairs import HamPair
-from .poly import RatFunc
+from .poly import Poly, RatFunc
 from .skew import SkewMatrix
 
 TOP4 = (1, 2, 3, 4)
@@ -234,15 +234,6 @@ def canonical_form_n2() -> AltForm:
     return form_from_pair(canonical_n2_pair()).form
 
 
-def _coeff_ring_size(form: AltForm):
-    """Ring size of symbolic coefficients, or None when all are rational."""
-    for c in form.comps.values():
-        nv = getattr(c, "num_vars", None)
-        if nv is not None:
-            return nv
-    return None
-
-
 def classify_n4(sf: StructureForm) -> ClassificationResult:
     """Canonical pair of a four-field structure form in standard position.
 
@@ -262,7 +253,9 @@ def classify_n4(sf: StructureForm) -> ClassificationResult:
     split = symplectic_split(sf.wskew_block())
     q = q_form(split.theta)
     theta13 = -q / 2
-    nvars = _coeff_ring_size(sf.form)
+    # the ring of the symbolic entries, None when all are rational
+    nvars = next((c.num_vars for c in sf.form.comps.values()
+                  if isinstance(c, (Poly, RatFunc))), None)
     pair = canonical_n4_pair(split.theta_eta, theta13, nvars=nvars)
     log = {
         "method": "invariants",

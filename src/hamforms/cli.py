@@ -43,9 +43,9 @@ reports carry the transformed pair under the "pair" key.
 
 import argparse
 import csv
+import decimal
 import io
 import json
-import math
 import sys
 import warnings
 from collections import namedtuple
@@ -106,22 +106,13 @@ def _mode_of(args, n=None) -> dict:
 
 
 def _bound_str(b: Fraction) -> str:
-    """A probability bound in base-10 notation, three digits rounded up;
-    exact, so bounds far below the float range print too."""
+    """A probability bound in base-10 notation, three digits rounded up
+    by `decimal`; exact, so bounds far below the float range print too
+    (the exponent floor, -999,999, is far below the smallest bound)."""
     if not b:
         return "0"
-    # from bit lengths, as str() refuses ints above 4,300 digits; the
-    # estimate is off by at most one
-    e = math.floor(math.log10(2) * (b.numerator.bit_length()
-                                    - b.denominator.bit_length()))
-    while b < Fraction(10) ** e:
-        e -= 1
-    while b >= Fraction(10) ** (e + 1):
-        e += 1
-    m = math.ceil(b * Fraction(10) ** (2 - e))
-    if m == 1000:
-        m, e = 100, e + 1
-    return "%d.%02de%d" % (m // 100, m % 100, e)
+    up = decimal.Context(prec=3, rounding=decimal.ROUND_CEILING)
+    return format(up.divide(b.numerator, b.denominator), ".2e").replace("e+", "e")
 
 
 def _add_bound(mode, rep) -> None:

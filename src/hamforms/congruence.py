@@ -175,9 +175,9 @@ def congruence_rank(sf: StructureForm) -> dict:
     is the congruence matrix itself.
     """
     matrix = m = congruence_matrix(sf)
-    if any(isinstance(v, Poly) for row in m.rows for v in row):
-        nv = next(v.num_vars for row in m.rows for v in row
-                  if isinstance(v, Poly))
+    nv = next((v.num_vars for row in m.rows for v in row
+               if isinstance(v, Poly)), None)
+    if nv is not None:
         m = Matrix([[lift(v, nv) for v in row] for row in m.rows])
     rank, cert = rank_and_left_nullvector(m)
     return {

@@ -79,7 +79,9 @@ class Matrix:
         return Matrix([[x * scalar for x in r] for r in self.rows])
 
     def apply(self, vec):
-        """Matrix times column vector (sequence)."""
+        """Matrix times column vector (sequence): the one matrix-vector
+        product, behind a pair's flux numerators adj(g) . w, its Pf(g)
+        and the W_q = (g . n)_q of `check_compat`."""
         if self.ncols != len(vec):
             raise ValueError("vector length mismatch")
         return tuple(_dot(r, vec) for r in self.rows)

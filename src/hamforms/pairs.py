@@ -34,6 +34,7 @@ from functools import cache
 from .errors import DegenerateMetric, DimensionMismatch, NullSystemWarning
 from .errors import OddDimension
 from .forms import AltForm
+from .linalg import Matrix
 from .poly import Poly, RatFunc, as_fraction, exact_div, lift, poly_gcd
 from .sampling import Lcg, random_skew, random_three_form, random_vector
 from .sampling import run_check
@@ -129,15 +130,6 @@ def build_flux(nums, pf: Poly) -> tuple:
     return tuple(RatFunc(n, pf) for n in nums)
 
 
-def _row_dot(s: SkewMatrix, i: int, vec, nvars: int) -> Poly:
-    total = Poly.zero(nvars)
-    for k in range(1, s.n + 1):
-        c = s.get(i, k)
-        if c and vec[k - 1]:
-            total = total + c * vec[k - 1]
-    return total
-
-
 class _Pair:
     """The metric half both pair classes share: N, nvars, the checked
     blocks mcubic and mconst, the metric, and the caches behind `flux`
@@ -199,11 +191,11 @@ class HamPair(_Pair):
         """Flux numerators adj . w over Pf(metric) = (metric . adj)_11,
         all Poly, from one adjugate."""
         if self._cleared is None:
-            adj, N, nv = pfaffian_adjugate(self.metric), self.N, self.nvars
-            w = rhs_covector(self.wskew, self.wconst, nv)
-            nums = tuple(_row_dot(adj, i, w, nv) for i in range(1, N + 1))
-            col = [adj.get(k, 1) for k in range(1, N + 1)]
-            self._cleared = nums, _row_dot(self.metric, 1, col, nv)
+            adj = pfaffian_adjugate(self.metric).to_matrix()
+            w = rhs_covector(self.wskew, self.wconst, self.nvars)
+            # Pf = (metric . adj)_11 alone: the whole product costs N times more
+            row1 = Matrix(self.metric.to_matrix().rows[:1])
+            self._cleared = adj.apply(w), row1.apply([r[0] for r in adj.rows])[0]
         return self._cleared
 
     def _key(self) -> tuple:
@@ -303,7 +295,7 @@ def check_compat(pair, mode: str = "auto", samples: int = 20, seed: int = _DEFAU
     """
     if mode == "auto":
         mode = auto_mode(pair.N)
-    N, nvars = pair.N, pair.nvars
+    N = pair.N
     nums, P = pair.flux_cleared()
 
     def bound():
@@ -316,7 +308,7 @@ def check_compat(pair, mode: str = "auto", samples: int = 20, seed: int = _DEFAU
         fields = range(1, N + 1)
         # one derivative table: row 0 is P, row q is W_q; values, field
         # gradients and Hessians, each converted once
-        rows = [P] + [_row_dot(pair.metric, q, nums, nvars) for q in fields]
+        rows = [P, *pair.metric.to_matrix().apply(nums)]
         grads = [[f.diff(p) for p in fields] for f in rows]
         val = [conv(f) for f in rows]
         d = [[conv(p) for p in grad] for grad in grads]

@@ -250,6 +250,9 @@ class Poly:
         return (self.num_vars, self.den, self.terms) == (other.num_vars, other.den, other.terms)
 
     def __hash__(self):
+        # a constant hashes like the Fraction it equals
+        if self.is_constant():
+            return hash(self.const_value())
         return hash((self.num_vars, self.den, frozenset(self.terms.items())))
 
     # -- calculus and evaluation --------------------------------------
@@ -268,18 +271,8 @@ class Poly:
         return _poly(self.num_vars, terms, self.den)
 
     def eval(self, point) -> Fraction:
-        """Evaluate at a full point of rationals."""
-        point = [as_fraction(x) for x in point]
-        if len(point) != self.num_vars:
-            raise ValueError("point has wrong length")
-        total = Fraction(0)
-        for e, c in self.items():
-            v = c
-            for x, k in zip(point, e):
-                if k:
-                    v *= x ** k
-            total += v
-        return total
+        """Evaluate at a full point of rationals: `compose` at rationals."""
+        return self.compose([as_fraction(x) for x in point])
 
     def compose(self, values):
         """Substitute values[i] for variable i+1; values are any ring elements.
@@ -321,10 +314,12 @@ class Poly:
     # -- presentation ----------------------------------------------------
 
     def format(self, names=None) -> str:
-        if not self.terms:
-            return "0"
         if names is None:
             names = ["u%d" % (i + 1) for i in range(self.num_vars)]
+        if len(names) != self.num_vars:
+            raise ValueError("format needs one name per ring variable")
+        if not self.terms:
+            return "0"
         parts = []
         for e, c in self.sorted_terms():
             factors = []
@@ -458,9 +453,7 @@ def poly_gcd(f: Poly, g: Poly) -> Poly:
             # remainder free of `var`: primitive gcd in `var` is trivial
             pf = Poly.one(f.num_vars)
             break
-        if not pg.is_zero() and pf.degree_in(var) < pg.degree_in(var):
-            pf, pg = pg, pf
-    h = _cont_prim(pf, var)[1] if not pf.is_constant() else Poly.one(f.num_vars)
+    h = _cont_prim(pf, var)[1]
     return (c * h).primitive()
 
 
@@ -475,8 +468,7 @@ def _cont_prim(f: Poly, var: int):
         if cont.is_constant():
             cont = Poly.one(f.num_vars)
             break
-    prim = exact_div(f, cont) if not cont.is_constant() else f * (Fraction(1) / cont.const_value())
-    return cont, prim
+    return cont, exact_div(f, cont)
 
 
 # -- rational functions ---------------------------------------------------
@@ -486,7 +478,8 @@ class RatFunc:
     """Reduced fraction of two polynomials over Q.
 
     Stored form: gcd(num, den) constant, den integer-primitive with positive
-    leading coefficient.  Zero is 0/1.
+    leading coefficient.  Zero is 0/1.  The constructor is the one no-gcd
+    path for a constant denominator: it skips the gcd and scales num.
     """
 
     __slots__ = ("num", "den")
@@ -593,12 +586,6 @@ class RatFunc:
             out.num = f.num * c.const_value()
             out.den = f.den
             return out
-        if self.den.is_constant() and o.den.is_constant():
-            out = RatFunc.__new__(RatFunc)
-            c = self.den.const_value() * o.den.const_value()
-            out.num = self.num * o.num * (Fraction(1) / c)
-            out.den = Poly.one(self.num_vars)
-            return out
         return RatFunc(self.num * o.num, self.den * o.den)
 
     __rmul__ = __mul__
@@ -613,6 +600,8 @@ class RatFunc:
 
     def __rtruediv__(self, other):
         o = self._coerce(other)
+        if o is None:
+            return NotImplemented
         return o / self
 
     def __pow__(self, k: int):
@@ -632,13 +621,14 @@ class RatFunc:
         return self.num == o.num and self.den == o.den
 
     def __hash__(self):
+        # a polynomial hashes like its numerator, the Poly it equals
+        if self.den.is_constant():
+            return hash(self.num)
         return hash((self.num, self.den))
 
     # -- calculus and evaluation ----------------------------------------
 
     def diff(self, var: int) -> "RatFunc":
-        if self.den.is_constant():
-            return RatFunc(self.num.diff(var), self.den)
         n = self.num.diff(var) * self.den - self.num * self.den.diff(var)
         return RatFunc(n, self.den * self.den)
 

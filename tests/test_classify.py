@@ -8,6 +8,8 @@ from hypothesis import given, settings, strategies as st
 
 from hamforms import (
     AltForm,
+    DegenerateMetric,
+    DimensionMismatch,
     HamPair,
     Lcg,
     Matrix,
@@ -40,6 +42,7 @@ from hamforms.classify import (_embed5, _first_order_preserves, _matrix5,
                                eta_gram, sp4_basis, t4_form)
 from hamforms.classify import format_terms
 from hamforms.linalg import rank_and_left_nullvector
+from hamforms.poly import lift
 from hamforms.sampling import random_skew
 
 from helpers import pairs_equal, random_invertible, random_symplectic
@@ -405,3 +408,37 @@ def test_standard_position_values_move_within_one_orbit():
     dst = form_from_pair(canonical_n4_pair(0, 4)).form
     assert src != dst
     assert pullback_linear(src, m) == dst
+
+
+@pytest.mark.parametrize("call,exc,match", [
+    (lambda: symplectic_split(SkewMatrix(2)),
+     DimensionMismatch, "splitting needs a two-form on four coordinates"),
+    (lambda: q_form(AltForm(3, 4)),
+     DimensionMismatch, "the quadric takes a two-form on four coordinates"),
+    (lambda: classify_n2(form_from_pair(canonical_n4_pair(Fraction(1),
+                                                          Fraction(1)))),
+     DimensionMismatch, "two-field classification needs N=2"),
+    (lambda: classify_n2(StructureForm(2, AltForm(3, 4, {(1, 2, 4): 1}))),
+     DegenerateMetric, "the metric slot vanishes"),
+    (lambda: classify_n4(form_from_pair(canonical_n2_pair())),
+     DimensionMismatch, "four-field classification needs N=4"),
+], ids=["split-shape", "quadric-shape", "n2-size", "n2-metric-slot",
+        "n4-size"])
+def test_classification_refusals(call, exc, match):
+    with pytest.raises(exc, match=match):
+        call()
+
+
+def test_classify_n4_keeps_the_ring_of_a_parametric_form():
+    nv = 7
+    pair = canonical_n4_pair(RatFunc.var(nv, 6), RatFunc.var(nv, 7), nvars=nv)
+    sf = form_from_pair(pair)
+    res = classify_n4(StructureForm(4, sf.form.map_coeffs(lambda c: lift(c, nv))))
+    assert res.invariants == (RatFunc.var(nv, 6), RatFunc.var(nv, 7) * -2)
+    assert res.canonical_pair.nvars == nv and res.canonical_pair == pair
+
+
+def test_format_system_needs_one_name_per_ring_variable():
+    cp = canonical_n4_pair(RatFunc.var(7, 6), RatFunc.var(7, 7), nvars=7)
+    with pytest.raises(ValueError, match="one name per ring variable"):
+        format_system(cp, names=["u1", "u2", "u3", "u4", "u5", "a"])

@@ -731,3 +731,13 @@ def test_warnings_print_before_the_error(capsys, null_pair_file):
     code, out, err = run(capsys, "transform", "--pair", null_pair_file, "--xt")
     assert code == 2 and out == ""
     assert err == NULL_WARNING + "error: exchanged metric is degenerate\n"
+
+
+@pytest.mark.parametrize("dims,message", [
+    ("2,x", "--dims expects comma-separated integers"),
+    (",", "--dims must name at least one field count"),
+])
+def test_audit_refuses_malformed_dims(capsys, dims, message):
+    code, out, err = run(capsys, "audit", "--dims", dims)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and message in err

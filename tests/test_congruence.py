@@ -477,3 +477,10 @@ def test_homogeneous_four_fields_spot_coefficients():
     assert _param_coefficient(p12, [(1, 2)]) == -g13 * a14 + g14 * a13
     assert _param_coefficient(p12, [(2, 1), (5, 1)]) == \
         g23 * b4 - g24 * b3 + g34 * b2
+
+
+def test_plucker_coords_refuses_a_point_of_the_wrong_length():
+    pair = HamPair(AltForm(3, 2), SkewMatrix(2, {(1, 2): Fraction(1)}),
+                   SkewMatrix(2), (Fraction(1), Fraction(0)))
+    with pytest.raises(DimensionMismatch, match="point length"):
+        plucker_coords(pair, point=(1,))

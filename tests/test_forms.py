@@ -227,3 +227,15 @@ def test_format():
     f = AltForm(3, 4, {(1, 2, 3): Fraction(1), (1, 3, 4): Fraction(-2)})
     text = f.format()
     assert "du1^du2^du3" in text and "du1^du3^du4" in text and "-2" in text
+
+
+@pytest.mark.parametrize("call,exc,match", [
+    (lambda: AltForm(0, 2), ValueError, "degree must be positive"),
+    (lambda: AltForm(2, 0), ValueError, "dimension must be positive"),
+    (lambda: AltForm(2, 3).get(1), ValueError, "wrong number of indices"),
+    (lambda: AltForm(2, 3) + AltForm(2, 4),
+     DimensionMismatch, "forms of different degree or dimension"),
+], ids=["degree", "dimension", "index-count", "shape"])
+def test_form_refusals(call, exc, match):
+    with pytest.raises(exc, match=match):
+        call()

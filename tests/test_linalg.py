@@ -128,3 +128,18 @@ def test_rank_and_certificate():
 def test_rank_full():
     rank, cert = rank_and_left_nullvector(Matrix.identity(3))
     assert rank == 3 and cert is None
+
+
+_M23 = Matrix([[1, 2, 3], [4, 5, 6]])
+
+
+@pytest.mark.parametrize("call,match", [
+    (lambda: Matrix([[1, 2], [3]]), "ragged matrix"),
+    (lambda: _M23 @ _M23, "matrix shape mismatch"),
+    (lambda: _M23.apply((1, 2)), "vector length mismatch"),
+    (lambda: _M23.det(), "determinant of a non-square matrix"),
+    (lambda: _M23.inv(), "inverse of a non-square matrix"),
+], ids=["ragged", "product", "apply", "det", "inv"])
+def test_matrix_shape_refusals(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()

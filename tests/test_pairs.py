@@ -760,3 +760,53 @@ def test_each_pair_class_defines_its_own_flux_cleared():
     # the bench wraps both through the class __dict__
     assert "flux_cleared" in vars(HamPair)
     assert "flux_cleared" in vars(ForcedPair)
+
+
+# fields u1 u2, parameter u3
+_NV = 3
+_UNIT = SkewMatrix(2, {(1, 2): Fraction(1)})
+
+
+def _n2_pair(mconst=_UNIT, wskew=SkewMatrix(2), wconst=(1, 0)):
+    return HamPair(AltForm(3, 2), mconst, wskew, wconst, nvars=_NV)
+
+
+@pytest.mark.parametrize("build,exc,match", [
+    (lambda: _n2_pair(SkewMatrix(2, {(1, 2): RatFunc(Poly.one(_NV),
+                                                     Poly.var(_NV, 3))})),
+     ValueError, "constant metric part entries must be polynomial"),
+    (lambda: _n2_pair(SkewMatrix(2, {(1, 2): Poly.var(_NV + 1, 3)})),
+     ValueError, "constant metric part entry lives in a different ring"),
+    (lambda: _n2_pair(SkewMatrix(2, {(1, 2): Poly.var(_NV, 1)})),
+     ValueError, "constant metric part entries must not involve the fields"),
+    (lambda: _n2_pair(wconst=(1.5, 0)),
+     TypeError, "constant covector part must have rational or parameter"),
+    (lambda: build_metric(AltForm(3, 4), _UNIT),
+     DimensionMismatch, "three-form and constant part differ in size"),
+    (lambda: build_metric(AltForm(3, 2), _UNIT, nvars=1),
+     DimensionMismatch, "ring has fewer variables than the form"),
+    (lambda: rhs_covector(SkewMatrix(2), (1,)),
+     DimensionMismatch, "covector length does not match"),
+    (lambda: _n2_pair(wskew=SkewMatrix(4)),
+     DimensionMismatch, "skew covector part does not match the field count"),
+    (lambda: _n2_pair(wconst=(1,)),
+     DimensionMismatch, "constant covector part has wrong length"),
+], ids=["non-polynomial", "other-ring", "uses-a-field", "unsupported-type",
+        "size-mismatch", "small-ring", "covector-length", "wskew-size",
+        "wconst-length"])
+def test_pair_data_refusals(build, exc, match):
+    with pytest.raises(exc, match=match):
+        build()
+
+
+def test_constant_poly_entries_are_stored_as_fractions():
+    pair = _n2_pair(SkewMatrix(2, {(1, 2): Poly.const(_NV, 2)}),
+                    wconst=(Poly.const(_NV, Fraction(1, 3)), 0))
+    assert pair.mconst.get(1, 2) == 2 and pair.wconst == (Fraction(1, 3), 0)
+    assert all(type(c) is Fraction
+               for c in (pair.mconst.get(1, 2), *pair.wconst))
+
+
+def test_randint_refuses_an_empty_range():
+    with pytest.raises(ValueError, match="empty range"):
+        Lcg(1).randint(3, 2)

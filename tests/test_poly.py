@@ -10,7 +10,7 @@ from fractions import Fraction
 import pytest
 
 from hamforms import Lcg, PoleError, Poly, RatFunc
-from hamforms.poly import divides, exact_div, poly_gcd
+from hamforms.poly import as_fraction, divides, exact_div, poly_gcd
 
 
 def random_poly(rng, nvars, nterms=4, max_deg=2):
@@ -221,3 +221,58 @@ def test_ratfunc_from_another_ring_is_unequal_and_refused(other):
         for op in ("__add__", "__sub__", "__mul__", "__truediv__"):
             with pytest.raises(ValueError):
                 getattr(x, op)(other)
+
+
+_U = Poly.var(2, 1)
+
+
+@pytest.mark.parametrize("call,exc,match", [
+    (lambda: as_fraction(1.5), TypeError, "expected a rational value"),
+    (lambda: Poly(2, {(1,): 1}), ValueError, "exponent vector has wrong length"),
+    (lambda: _U.const_value(), ValueError, "polynomial is not constant"),
+    (lambda: Poly.zero(2).leading(), ValueError, "zero polynomial has no"),
+    (lambda: _U + Poly.var(3, 1), ValueError, "polynomials from different rings"),
+    (lambda: _U ** -1, ValueError, "negative power of a polynomial"),
+    (lambda: _U.diff(3), ValueError, "variable index out of range"),
+    (lambda: _U.eval([1]), ValueError, "wrong length"),
+    (lambda: _U.compose([1, 2, 3]), ValueError, "substitution list has wrong"),
+    (lambda: poly_gcd(_U, Poly.var(3, 1)), ValueError,
+     "polynomials from different rings"),
+    (lambda: RatFunc(_U, Poly.one(3)), ValueError,
+     "numerator and denominator from different rings"),
+    (lambda: RatFunc(_U, Poly.zero(2)), ZeroDivisionError, "zero denominator"),
+    (lambda: RatFunc(_U) / 0, ZeroDivisionError,
+     "division by zero rational function"),
+    (lambda: RatFunc.from_const(2, 0) ** -1, ZeroDivisionError,
+     "inverse of zero"),
+], ids=["as-fraction", "exponents", "const-value", "leading", "ring", "power",
+        "diff", "eval", "compose", "gcd-ring", "ratfunc-ring",
+        "zero-denominator", "divide-by-zero", "invert-zero"])
+def test_poly_refusals(call, exc, match):
+    with pytest.raises(exc, match=match):
+        call()
+
+
+@pytest.mark.parametrize("left", [1.5, object(), [1]],
+                         ids=["float", "object", "list"])
+def test_ratfunc_refuses_a_left_dividend_it_cannot_coerce(left):
+    r = RatFunc.var(3, 1)
+    with pytest.raises(TypeError):
+        left / r
+    with pytest.raises(TypeError):
+        r / left
+
+
+def test_ratfunc_divides_rationals_on_the_left():
+    r, u = RatFunc.var(3, 1), Poly.var(3, 1)
+    assert 2 / r == RatFunc(Poly.const(3, 2), u)
+    assert Fraction(1, 3) / r == RatFunc(Poly.const(3, Fraction(1, 3)), u)
+
+
+@pytest.mark.parametrize("names", [["x", "y"], ["a"], ["a", "b", "c", "d"]])
+def test_format_needs_one_name_per_ring_variable(names):
+    u1, u2, u3 = (Poly.var(3, i) for i in (1, 2, 3))
+    for value in (u1 * u3 + u2, RatFunc(Poly.one(3), u3), Poly.zero(3)):
+        with pytest.raises(ValueError, match="one name per ring variable"):
+            value.format(names)
+    assert (u1 * u3 + u2).format(["x", "y", "z"]) == "x*z + y"

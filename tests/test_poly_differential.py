@@ -21,7 +21,7 @@ from sympy.polys.orderings import grlex
 from sympy.polys.polyerrors import ExactQuotientFailed
 from sympy.polys.rings import ring
 
-from hamforms import Poly
+from hamforms import Poly, RatFunc
 from hamforms.poly import MAX_DEGREE, divides, exact_div, poly_gcd
 
 RATIONALS = st.fractions(min_value=-9, max_value=9, max_denominator=6)
@@ -151,6 +151,44 @@ def test_ring_axioms(data):
     if p.total_degree() + q.total_degree() + r.total_degree() <= MAX_DEGREE:
         assert p * (q * r) == (p * q) * r
     assert p * (q + r) == p * q + p * r
+
+
+def _expr(x):
+    """A SymPy expression for a Poly or a rational."""
+    if isinstance(x, Poly):
+        return _sym(x).as_expr()
+    return sympy.Rational(x.numerator, x.denominator)
+
+
+# evaluation and substitution against SymPy's own substitution, an
+# oracle independent of both; small exponents keep the expansions small
+@settings(max_examples=60, deadline=None)
+@given(data=rings(1, max_terms=4, exp_max=(3,)), draw=st.data())
+def test_eval_and_compose_match_sympy_substitution(data, draw):
+    nv, (p,) = data
+    gens, expr = _ring(nv).symbols, _expr(p)
+    point = draw.draw(st.lists(RATIONALS, min_size=nv, max_size=nv))
+    want = expr.subs(dict(zip(gens, map(_expr, point))), simultaneous=True)
+    assert p.eval(point) == _frac(want)
+    mv = draw.draw(st.integers(1, 3))
+    values = [draw.draw(polys(mv, 2, max_terms=2)) for _ in range(nv)]
+    want = expr.subs(dict(zip(gens, map(_expr, values))), simultaneous=True)
+    assert sympy.expand(_expr(p.compose(values)) - want) == 0
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=rings(2, max_terms=3, exp_max=(3,)), c=RATIONALS)
+def test_equal_values_hash_equal_across_types(data, c):
+    nv, (p, q) = data
+    constants = [c, Poly.const(nv, c), RatFunc.from_const(nv, c)]
+    if c.denominator == 1:
+        constants.append(int(c))
+    polynomials = [p, RatFunc(p), RatFunc(p * q, q) if q else RatFunc(p)]
+    for group in (constants, polynomials):
+        for a in group:
+            for b in group:
+                assert a == b and hash(a) == hash(b)
+    assert {c: "x"}.get(Poly.const(nv, c)) == "x"
 
 
 @pytest.mark.parametrize("nv", [1, 2, 21])

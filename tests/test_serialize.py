@@ -133,3 +133,26 @@ def test_broken_json_reports_position(tmp_path):
 def test_missing_file(tmp_path):
     with pytest.raises(ParseError):
         ser.load_pair(str(tmp_path / "missing.json"))
+
+
+@pytest.mark.parametrize("load,doc,match", [
+    (ser.omega_from_dict, {"N": 2, "terms": [[1, 2, 3]]},
+     r"omega\.terms\[0\]: expected \{idx, coeff\}"),
+    (ser.omega_from_dict, {"N": 2, "terms": [{"idx": [1, 2, 3]}]},
+     r"omega\.terms\[0\]: expected \{idx, coeff\}"),
+    (ser.omega_from_dict, {"N": 2, "terms": [{"idx": "123", "coeff": "1"}]},
+     r"omega\.terms\[0\]\.idx: expected a list of integers"),
+    (ser.omega_from_dict,
+     {"N": 2, "terms": [{"idx": [True, 2, 3], "coeff": "1"}]},
+     r"omega\.terms\[0\]\.idx: expected a list of integers"),
+    (ser.omega_from_dict, {"N": "2", "terms": []},
+     r"omega\.N: expected an integer"),
+    (ser.form_from_dict, {"degree": 2.0, "dim": 2, "terms": []},
+     r"form\.degree: expected an integer"),
+    (ser.form_from_dict, {"degree": 2, "dim": True, "terms": []},
+     r"form\.dim: expected an integer"),
+], ids=["term-list", "term-keys", "idx-string", "idx-bool", "N-string",
+        "degree-float", "dim-bool"])
+def test_malformed_terms_and_counts_are_refused(load, doc, match):
+    with pytest.raises(ParseError, match=match):
+        load(doc)

@@ -211,3 +211,8 @@ def test_skew_matrix_is_the_two_form():
     with pytest.raises(TypeError):
         SkewMatrix(3, {(1, 2): "1"})
     assert SkewMatrix(3, {(2, 2): Fraction(0)}).is_zero()
+
+
+def test_from_form_refuses_a_form_of_another_degree():
+    with pytest.raises(ValueError, match="expected a two-form"):
+        SkewMatrix.from_form(AltForm(3, 3))

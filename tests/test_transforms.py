@@ -256,3 +256,8 @@ def test_affine_rows_are_the_rows_applied_to_u_and_one():
             assert row == expect
         assert [c * phi.denominator(nv) for c in phi.components(nv)] == [
             rows[i] for i in range(n)]
+
+
+def test_reciprocal_map_refuses_a_vector_of_the_wrong_length():
+    with pytest.raises(DimensionMismatch, match="must have length N"):
+        ReciprocalMap(2, [1], 1, 0, [0, 0], 0, 1)
