@@ -82,9 +82,8 @@ def symplectic_split(a) -> SymplecticSplit:
     if a.degree != 2 or a.dim != 4:
         raise DimensionMismatch("splitting needs a two-form on four coordinates")
     eta = eta_matrix()
-    num = wedge(a, eta).get(*TOP4)
-    den = wedge(eta, eta).get(*TOP4)  # = 2
-    theta_eta = num / den
+    # eta ^ eta = 2 du1234; halving by a product keeps Poly entries Poly
+    theta_eta = wedge(a, eta).get(*TOP4) * Fraction(1, 2)
     theta = a - eta.scale(theta_eta)
     return SymplecticSplit(theta_eta, theta)
 
@@ -252,7 +251,7 @@ def classify_n4(sf: StructureForm) -> ClassificationResult:
         raise WrongTBlock("cubic block is not in the standard position")
     split = symplectic_split(sf.wskew_block())
     q = q_form(split.theta)
-    theta13 = -q / 2
+    theta13 = q * Fraction(-1, 2)
     # the ring of the symbolic entries, None when all are rational
     nvars = next((c.num_vars for c in sf.form.comps.values()
                   if isinstance(c, (Poly, RatFunc))), None)

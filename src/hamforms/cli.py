@@ -21,11 +21,13 @@ the prime 2^61-1 and record the Schwartz-Zippel bound of the run in the
 rejects --sample with --projective or --xt; the other commands only run
 symbolic checks and reject --sample.
 
-Four caps exit with code 2: --symbolic above N = 6 (a dense N = 8
-proof takes half a minute), --sample above 1000 points (1,000 points
-take 0.4 to 0.9 s at dense N = 6), audit field counts above 64 (audit
-time grows as N^3) and pair or form files above N = 1000 (the
-Pfaffian recurses N/2 deep).
+Five caps exit with code 2: --symbolic above N = 6 (a dense N = 8
+proof takes half a minute), verify, congruence and transform
+--reciprocal above N = 12 in any mode (each builds the symbolic flux
+before it checks anything: 11 to 13 s at dense N = 12, three minutes
+at N = 14), --sample above 1000 points (1,000 points take 0.4 to 0.9 s at
+dense N = 6), audit field counts above 64 (audit time grows as N^3) and
+pair or form files above N = 1000 (the Pfaffian recurses N/2 deep).
 
 Every subcommand builds one JSON report, and --format renders it: json
 is the report with sorted keys; text is one "path: value" line per
@@ -69,6 +71,10 @@ _DEFAULT_SAMPLES = 20
 # a symbolic proof above this many fields runs for half a minute or more:
 # 36 s for a dense N = 8 pair on one core of a 2-core x86-64 machine
 _SYMBOLIC_MAX_N = 6
+# a sampled check starts from the symbolic flux adj(g) w, whose adjugate
+# takes 11 to 13 s for a dense N = 12 pair and about three minutes at
+# N = 14 on that machine
+_SAMPLED_MAX_N = 12
 # layout(N) lists all C(N+2, 3) triples, so audit time grows as N^3
 _AUDIT_MAX_N = 64
 # the sampler builds every point before it checks any; 1,000 points on a
@@ -87,8 +93,9 @@ def _scalar_str(v) -> str:
 def _mode_of(args, n=None) -> dict:
     """Check mode of a run that may sample at n fields; n is None where
     nothing is sampled.  With neither --symbolic nor --sample the mode is
-    the one `auto_mode(n)` names; --symbolic above _SYMBOLIC_MAX_N fields
-    and a --sample count outside 1.._SAMPLE_MAX are refused."""
+    the one `auto_mode(n)` names; any check above _SAMPLED_MAX_N fields,
+    --symbolic above _SYMBOLIC_MAX_N and a --sample count outside
+    1.._SAMPLE_MAX are refused."""
     sample = args.sample
     if sample is not None and not 1 <= sample <= _SAMPLE_MAX:
         raise ValidationError("--sample count must be between 1 and %d"
@@ -96,6 +103,11 @@ def _mode_of(args, n=None) -> dict:
     if (sample is None and n is not None and not args.symbolic
             and auto_mode(n) == "sampled"):
         sample = _DEFAULT_SAMPLES
+    if n is not None and n > _SAMPLED_MAX_N:
+        raise ValidationError(
+            "N = %d is above the limit of N = %d for checks: building the "
+            "symbolic flux they start from takes minutes"
+            % (n, _SAMPLED_MAX_N))
     if n is not None and args.symbolic and n > _SYMBOLIC_MAX_N:
         raise ValidationError(
             "--symbolic at N = %d runs for half a minute or more; "

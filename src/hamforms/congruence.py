@@ -91,17 +91,14 @@ def grassmann_check(p: dict, dim: int) -> dict:
     """Three-term quadric relations over all 4-subsets of indices.
 
     p^{ab}p^{cd} - p^{ac}p^{bd} + p^{ad}p^{bc} must vanish for the
-    coordinates to describe an actual line; a missing coordinate is zero
-    and its products are left out.
+    coordinates to describe an actual line; a missing coordinate is zero.
     """
     bad = {}
-    for (a, b, c, d) in combinations(range(1, dim + 1), 4):
-        terms = [p[x] * p[y] * sign for x, y, sign in (
-            ((a, b), (c, d), 1), ((a, c), (b, d), -1), ((a, d), (b, c), 1))
-            if x in p and y in p]
-        r = sum(terms[1:], terms[0]) if terms else 0
+    for abcd in combinations(range(1, dim + 1), 4):
+        ab, ac, ad, bc, bd, cd = (p.get(k, 0) for k in combinations(abcd, 2))
+        r = ab * cd - ac * bd + ad * bc
         if r:
-            bad[(a, b, c, d)] = r
+            bad[abcd] = r
     return {"residuals": bad, "ok": not bad}
 
 
@@ -116,19 +113,14 @@ def congruence_matrix(sf: StructureForm) -> Matrix:
     )
 
 
-def _rows_on(rows, p: dict) -> dict:
-    """The congruence matrix rows applied to the line coordinates p; the
-    nonzero results, keyed by the 1-based row."""
-    keys = pair_columns(len(rows))
+def _rows_on(m: Matrix, p: dict) -> dict:
+    """The congruence matrix m applied to the line coordinates p, a
+    missing one read as zero; the nonzero results by 1-based row."""
+    keys = pair_columns(m.nrows)
     if not p.keys() <= set(keys):
         raise ValueError("coordinate keys must be increasing index pairs")
-    cols = [(c, p[jk]) for c, jk in enumerate(keys) if jk in p]
-    out = {}
-    for i, row in enumerate(rows, 1):
-        terms = [row[c] * v for c, v in cols if row[c] and v]
-        if terms and (total := sum(terms[1:], terms[0])):
-            out[i] = total
-    return out
+    out = m.apply([p.get(jk, 0) for jk in keys])
+    return {i: r for i, r in enumerate(out, 1) if r}
 
 
 def annihilation_check(sf: StructureForm, p: dict) -> dict:
@@ -137,7 +129,7 @@ def annihilation_check(sf: StructureForm, p: dict) -> dict:
     For the coordinates of the pair encoded by the same form every row
     vanishes identically.
     """
-    bad = _rows_on(congruence_matrix(sf).rows, p)
+    bad = _rows_on(congruence_matrix(sf), p)
     return {"residuals": bad, "ok": not bad}
 
 
@@ -160,8 +152,8 @@ def congruence_checks(m: Matrix, p: dict, mode: str, samples: int,
 
     def residuals(conv):
         q = {k: conv(c) for k, c in p.items()}
-        rows = [[conv(v) for v in row] for row in m.rows]
-        return _rows_on(rows, q), grassmann_check(q, dim)["residuals"]
+        mq = Matrix([[conv(v) for v in row] for row in m.rows])
+        return _rows_on(mq, q), grassmann_check(q, dim)["residuals"]
 
     (ann, quad), keys = run_check(mode, residuals, bound, samples, seed)
     return {"mode": mode, **keys, "annihilation": ann, "quadrics": quad}

@@ -10,6 +10,7 @@ lives in `skew.SkewMatrix`, the degree-2 `AltForm`, not here.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import mul
 
 from .errors import SingularMatrix
 from .poly import as_fraction
@@ -80,8 +81,9 @@ class Matrix:
 
     def apply(self, vec):
         """Matrix times column vector (sequence): the one matrix-vector
-        product, behind a pair's flux numerators adj(g) . w, its Pf(g)
-        and the W_q = (g . n)_q of `check_compat`."""
+        product, behind a pair's flux numerators adj(g) . w, its Pf(g),
+        the W_q = (g . n)_q of `check_compat` and the annihilation rows
+        of the congruence matrix applied to a line."""
         if self.ncols != len(vec):
             raise ValueError("vector length mismatch")
         return tuple(_dot(r, vec) for r in self.rows)
@@ -125,11 +127,7 @@ class Matrix:
 
 
 def _dot(r, c):
-    total = None
-    for x, y in zip(r, c):
-        p = x * y
-        total = p if total is None else total + p
-    return total if total is not None else Fraction(0)
+    return sum(map(mul, r, c), Fraction(0))
 
 
 def _with_identity(rows) -> list:

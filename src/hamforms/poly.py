@@ -552,6 +552,9 @@ class RatFunc:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
+        if not (self and o):
+            # adding zero: no gcd, whichever the denominators
+            return o if self.is_zero() else self
         if self.den.terms == o.den.terms:
             return RatFunc(self.num + o.num, self.den)
         return RatFunc(self.num * o.den + o.num * self.den, self.den * o.den)

@@ -9,13 +9,15 @@ so that a seed keeps drawing the pairs it drew before.  `run_check`,
 at the end of this module, is the one proof-or-sample policy: both
 checks, `check_compat` and `congruence_checks`, are proved through it
 or sampled at residues modulo the prime 2^61 - 1, where `_Vals.at`
-reduces each polynomial at all the points at once.
+reduces each polynomial at all the points at once and a rational on
+either side of a `_Vals` stands for its residue at every point, so a
+check's formulas run unchanged on rationals, Poly, RatFunc and residues.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, repeat
 
 from .errors import NoResidue
 from .forms import AltForm
@@ -114,10 +116,11 @@ class _Vals:
     """A polynomial reduced to its residues mod MODULUS at fixed points.
 
     Swapping these in for Poly turns a symbolic check into a pointwise
-    one with no change to the formulas.  Rational scalars are reduced mod
-    MODULUS before they multiply; `_residue` raises NoResidue, a
-    ValueError, for one whose denominator the modulus divides, rather
-    than return a wrong residue.
+    one with no change to the formulas: a rational on either side of
+    +, - or * stands for its residue at every point, so sums started at
+    Fraction(0) and products with rational entries run as they are.
+    `_residue` raises NoResidue, a ValueError, for a rational whose
+    denominator the modulus divides, rather than return a wrong residue.
     """
 
     __slots__ = ("v",)
@@ -147,17 +150,23 @@ class _Vals:
         return cls([int.from_bytes(b[i:i + _LANE], "little") % MODULUS
                     for i in range(0, len(b), _LANE)])
 
+    def _pairs(self, other):
+        w = other.v if isinstance(other, _Vals) else repeat(_residue(other))
+        return zip(self.v, w)
+
     def __add__(self, other):
-        return _Vals([(a + b) % MODULUS for a, b in zip(self.v, other.v)])
+        return _Vals([(a + b) % MODULUS for a, b in self._pairs(other)])
+
+    __radd__ = __add__
 
     def __sub__(self, other):
-        return _Vals([(a - b) % MODULUS for a, b in zip(self.v, other.v)])
+        return _Vals([(a - b) % MODULUS for a, b in self._pairs(other)])
+
+    def __rsub__(self, other):
+        return _Vals([(b - a) % MODULUS for a, b in self._pairs(other)])
 
     def __mul__(self, other):
-        if isinstance(other, _Vals):
-            return _Vals([a * b % MODULUS for a, b in zip(self.v, other.v)])
-        c = _residue(other)
-        return _Vals([a * c % MODULUS for a in self.v])
+        return _Vals([a * b % MODULUS for a, b in self._pairs(other)])
 
     __rmul__ = __mul__
 

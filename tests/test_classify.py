@@ -42,7 +42,7 @@ from hamforms.classify import (_embed5, _first_order_preserves, _matrix5,
                                eta_gram, sp4_basis, t4_form)
 from hamforms.classify import format_terms
 from hamforms.linalg import rank_and_left_nullvector
-from hamforms.poly import lift
+from hamforms.poly import Poly, lift
 from hamforms.sampling import random_skew
 
 from helpers import pairs_equal, random_invertible, random_symplectic
@@ -436,6 +436,19 @@ def test_classify_n4_keeps_the_ring_of_a_parametric_form():
     res = classify_n4(StructureForm(4, sf.form.map_coeffs(lambda c: lift(c, nv))))
     assert res.invariants == (RatFunc.var(nv, 6), RatFunc.var(nv, 7) * -2)
     assert res.canonical_pair.nvars == nv and res.canonical_pair == pair
+
+
+def test_classify_n4_takes_the_poly_entries_of_a_parametric_pair():
+    # form_from_pair gives a parametric pair Poly entries; they classify
+    # as their RatFunc-lifted copy does
+    nv = 7
+    sf = form_from_pair(canonical_n4_pair(Poly.var(nv, 6), Poly.var(nv, 7),
+                                          nvars=nv))
+    res = classify_n4(sf)
+    ref = classify_n4(StructureForm(4, sf.form.map_coeffs(lambda c: lift(c, nv))))
+    assert res.invariants == ref.invariants == (Poly.var(nv, 6),
+                                                Poly.var(nv, 7) * -2)
+    assert res.canonical_form == ref.canonical_form
 
 
 def test_format_system_needs_one_name_per_ring_variable():

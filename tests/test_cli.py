@@ -531,6 +531,33 @@ def test_sample_count_above_the_limit_is_refused(capsys, tmp_path,
     assert ran == []
 
 
+def test_checks_above_twelve_fields_are_refused(capsys, tmp_path,
+                                                monkeypatch):
+    # the symbolic flux of a dense N = 14 pair takes minutes: the refusal
+    # comes before it is built, by default and when sampling alike
+    path = tmp_path / "n14.json"
+    path.write_text(json.dumps(pair_to_dict(HamPair.random(Lcg(3), 14))))
+    rpath = tmp_path / "recip.json"
+    rpath.write_text(json.dumps(
+        {"ax": ["1"] + ["0"] * 13, "ax0": "2", "bt": "1", "bx": ["0"] * 14,
+         "cx": "0", "dt0": "1"}))
+    ran = []
+    monkeypatch.setattr(cli, "check_compat", lambda *a, **k: ran.append(a))
+    monkeypatch.setattr(cli, "congruence_checks",
+                        lambda *a, **k: ran.append(a))
+    monkeypatch.setattr(HamPair, "flux_cleared", lambda self: ran.append(self))
+    for extra in ([], ["--sample", "20"]):
+        for argv in (["verify", "--pair", str(path)],
+                     ["congruence", "--pair", str(path)],
+                     ["transform", "--pair", str(path),
+                      "--reciprocal", str(rpath)]):
+            code, out, err = run(capsys, *argv, *extra)
+            assert code == 2 and out == "", argv
+            assert err.startswith("error:") and "N = 14" in err
+            assert "N = %d" % cli._SAMPLED_MAX_N in err
+    assert ran == []
+
+
 def test_audit_rejects_large_field_counts(capsys, monkeypatch):
     ran = []
     monkeypatch.setattr(cli, "dimension_audit", ran.append)

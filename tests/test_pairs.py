@@ -577,6 +577,36 @@ def test_residues_at_all_points_match_pointwise_evaluation(case):
                                                 for x in points]
 
 
+@st.composite
+def _two_polys_and_points(draw):
+    nv = draw(st.integers(1, 3))
+    exps = st.tuples(*[st.integers(0, 4)] * nv)
+    p, q = (Poly(nv, draw(st.dictionaries(exps, _coeffs, max_size=5)))
+            for _ in range(2))
+    rng = Lcg(draw(st.integers(0, 2 ** 32)))
+    points = [tuple(_random_residue(rng) for _ in range(nv))
+              for _ in range(draw(st.integers(1, 8)))]
+    return p, q, points
+
+
+@settings(max_examples=40, deadline=None)
+@given(_two_polys_and_points(), _coeffs)
+def test_residues_keep_the_ring_laws_with_rationals_on_either_side(case, r):
+    # a check's formula runs unchanged on residues: each result, with a
+    # rational r on either side and in a sum started at Fraction(0), is
+    # the residue of the same formula on polynomials
+    from hamforms.sampling import _Vals
+    p, q, points = case
+    table = {}
+    vp, vq = (_Vals.at(x, points, table) for x in (p, q))
+    cases = [(vp + vq, p + q), (vp - vq, p - q), (vp * vq, p * q),
+             (vp + r, p + r), (r + vp, r + p), (vp - r, p - r),
+             (r - vp, r - p), (vp * r, p * r), (r * vp, r * p),
+             (sum([vp, r, vq * r], Fraction(0)), p + r + q * r)]
+    for vals, poly in cases:
+        assert vals.v == [mod_eval(poly, x) for x in points]
+
+
 def test_residue_lanes_hold_thousands_of_largest_products():
     # 3,000 terms whose coefficient and monomial residues are all
     # 2^61-2 = -1: each lane sums 3,000 products near 2^122, past 2^128

@@ -169,6 +169,23 @@ def test_ratfunc_scaling_by_a_constant_skips_the_gcd(monkeypatch):
         assert (g.num.terms, g.den.terms) == (want.num.terms, want.den.terms)
 
 
+def test_ratfunc_adding_zero_skips_the_gcd(monkeypatch):
+    # a matrix-vector product adds the zero products of its zero entries
+    import hamforms.poly as poly_mod
+
+    x, y = Poly.var(2, 1), Poly.var(2, 2)
+    f = RatFunc(x * x + y, x * y - Poly.const(2, 3))
+    zero = RatFunc.from_const(2, 0)
+    real = poly_mod.poly_gcd
+    calls = []
+    monkeypatch.setattr(poly_mod, "poly_gcd",
+                        lambda a, b: calls.append(1) or real(a, b))
+    got = [f + 0, Fraction(0) + f, f + zero, zero + f, f - zero, 0 - -f]
+    assert calls == []
+    for g in got:
+        assert (g.num.terms, g.den.terms) == (f.num.terms, f.den.terms)
+
+
 def test_ratfunc_diff_quotient_rule():
     rng = Lcg(808)
     for _ in range(10):
